@@ -11,6 +11,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/telemetry.hpp"
 #include "model/ingest.hpp"
 #include "server/server.hpp"
 #include "titanlog/generator.hpp"
@@ -97,10 +98,13 @@ int main() {
     }
     std::fflush(stdout);
   }
-  auto m = server.metrics();
+  auto& reg = telemetry::registry();
   std::fprintf(stderr, "session: %llu simple, %llu complex, %llu errors\n",
-               static_cast<unsigned long long>(m.simple_queries),
-               static_cast<unsigned long long>(m.complex_queries),
-               static_cast<unsigned long long>(m.errors));
+               static_cast<unsigned long long>(
+                   reg.counter("server.queries.simple").value()),
+               static_cast<unsigned long long>(
+                   reg.counter("server.queries.complex").value()),
+               static_cast<unsigned long long>(
+                   reg.counter("server.queries.errors").value()));
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "buslite/broker.hpp"
+#include "common/telemetry.hpp"
 #include "model/ingest.hpp"
 #include "model/selftel/selftel.hpp"
 #include "model/tables.hpp"
@@ -63,10 +64,12 @@ int main() {
     std::printf("%s\n", server.handle_text(q).c_str());
   }
 
-  auto metrics = server.metrics();
+  auto& reg = telemetry::registry();
   std::printf("\nserver handled %llu simple + %llu complex queries\n",
-              static_cast<unsigned long long>(metrics.simple_queries),
-              static_cast<unsigned long long>(metrics.complex_queries));
+              static_cast<unsigned long long>(
+                  reg.counter("server.queries.simple").value()),
+              static_cast<unsigned long long>(
+                  reg.counter("server.queries.complex").value()));
 
   // 6. Close the loop: export the system's own metrics and traces into
   //    sys_* tables and ask the server about its own behaviour.

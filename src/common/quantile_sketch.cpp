@@ -91,8 +91,7 @@ double QuantileSketch::quantile(double q) const {
   // the boundary tuples), so the extremes need no rank search.
   if (q == 0.0) return tuples_.front().v;
   if (q == 1.0) return tuples_.back().v;
-  // Target rank in [1, n], matching PercentileTracker's nearest-rank
-  // convention (q over n-1 intervals).
+  // Target rank in [1, n], nearest-rank convention (q over n-1 intervals).
   const double target =
       1.0 + q * static_cast<double>(count_ - 1);
   const double slack = epsilon_ * static_cast<double>(count_);

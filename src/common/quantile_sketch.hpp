@@ -1,10 +1,10 @@
 // Bounded-memory approximate quantiles (Greenwald-Khanna 2001, with the
 // batched-insert and merge refinements used by Manku-style multi-level
-// summaries). Replaces PercentileTracker's buffer-everything-and-sort in
-// the percentile analytics paths: memory is O(1/eps * log(eps*n)) tuples
-// regardless of input size, every quantile(q) answer is within eps*n of the
-// true rank, and sketches merge — so per-partition sketches can be combined
-// through reduce_by_key without shipping raw samples (DESIGN.md §13.3).
+// summaries). Replaces buffer-everything-and-sort in the percentile
+// analytics paths: memory is O(1/eps * log(eps*n)) tuples regardless of
+// input size, every quantile(q) answer is within eps*n of the true rank,
+// and sketches merge — so per-partition sketches can be combined through
+// reduce_by_key without shipping raw samples (DESIGN.md §13.3).
 #pragma once
 
 #include <cstddef>

@@ -6,19 +6,6 @@
 
 namespace hpcla {
 
-double PercentileTracker::percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-    ++sort_passes_;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples_.size() - 1) + 0.5);
-  return samples_[rank];
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   HPCLA_CHECK_MSG(bins >= 1, "Histogram requires at least one bin");

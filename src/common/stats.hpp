@@ -69,31 +69,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exact percentile over retained samples. Fine for bench-scale data
-/// (≤ millions of points); not a streaming sketch — use QuantileSketch
-/// (quantile_sketch.hpp) when the input is unbounded.
-class PercentileTracker {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = samples_.size() == 1;  // a 1-element vector is trivially sorted
-  }
-  /// q in [0,1]; nearest-rank. Returns 0 with no samples. Sorts lazily:
-  /// repeated queries with no intervening add() reuse the sorted state.
-  [[nodiscard]] double percentile(double q) const;
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-  /// Number of sort passes performed so far (regression guard: querying
-  /// k percentiles back-to-back must cost one sort, not k).
-  [[nodiscard]] std::size_t sort_passes() const noexcept {
-    return sort_passes_;
-  }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-  mutable std::size_t sort_passes_ = 0;
-};
-
 /// Fixed-width histogram over [lo, hi); out-of-range values clamp into the
 /// edge bins. Backs the frontend's per-hour event histograms (Fig 5).
 class Histogram {

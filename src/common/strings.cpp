@@ -97,18 +97,21 @@ bool parse_int(std::string_view text, long long& out) noexcept {
     i = 1;
     if (text.size() == 1) return false;
   }
+  // Magnitude of INT64_MIN / INT64_MAX; checked before each step so the
+  // accumulator never wraps.
+  const unsigned long long limit =
+      neg ? 9223372036854775808ull : 9223372036854775807ull;
   unsigned long long acc = 0;
   for (; i < text.size(); ++i) {
     const char c = text[i];
     if (c < '0' || c > '9') return false;
-    const unsigned long long next = acc * 10 + static_cast<unsigned>(c - '0');
-    if (next < acc) return false;  // overflow
-    acc = next;
+    const unsigned digit = static_cast<unsigned>(c - '0');
+    if (acc > (limit - digit) / 10) return false;  // acc * 10 + digit > limit
+    acc = acc * 10 + digit;
   }
-  const unsigned long long limit =
-      neg ? 9223372036854775808ull : 9223372036854775807ull;
-  if (acc > limit) return false;
-  out = neg ? -static_cast<long long>(acc) : static_cast<long long>(acc);
+  // Negate in unsigned arithmetic: -acc as a signed value overflows for
+  // INT64_MIN.
+  out = static_cast<long long>(neg ? 0ull - acc : acc);
   return true;
 }
 

@@ -1,8 +1,5 @@
 #include "model/ingest.hpp"
 
-#include <atomic>
-#include <mutex>
-
 namespace hpcla::model {
 
 using cassalite::Consistency;
@@ -21,19 +18,9 @@ BatchIngestor::BatchIngestor(cassalite::Cluster& cluster,
   }
 }
 
-void accumulate_synopsis(
-    std::map<std::pair<std::int64_t, titanlog::EventType>, SynopsisDelta>&
-        deltas,
-    const EventRecord& e) {
-  auto& d = deltas[{hour_bucket(e.ts), e.type}];
-  if (d.count == 0) {
-    d.first_ts = e.ts;
-    d.last_ts = e.ts;
-  } else {
-    d.first_ts = std::min(d.first_ts, e.ts);
-    d.last_ts = std::max(d.last_ts, e.ts);
-  }
-  d.count += e.count;
+void accumulate_synopsis(SynopsisDeltas& deltas, const EventRecord& e) {
+  deltas[{hour_bucket(e.ts), e.type}].merge(
+      SynopsisDelta{e.count, e.ts, e.ts});
 }
 
 std::size_t BatchIngestor::write_event(const EventRecord& e,
@@ -94,10 +81,8 @@ void BatchIngestor::write_job(const JobRecord& job, IngestReport& report) {
   }
 }
 
-void BatchIngestor::apply_synopsis(
-    const std::map<std::pair<std::int64_t, titanlog::EventType>,
-                   SynopsisDelta>& deltas,
-    IngestReport& report) {
+void BatchIngestor::apply_synopsis(const SynopsisDeltas& deltas,
+                                   IngestReport& report) {
   for (const auto& [key, delta] : deltas) {
     const auto& [hour, type] = key;
     // Read-modify-write: merge with any synopsis row a previous ingest
@@ -147,8 +132,7 @@ IngestReport BatchIngestor::ingest_lines(const std::vector<LogLine>& lines) {
   struct Slice {
     ParseStats stats;
     IngestReport report;
-    std::map<std::pair<std::int64_t, titanlog::EventType>, SynopsisDelta>
-        synopsis;
+    SynopsisDeltas synopsis;
   };
 
   auto ds = sparklite::Dataset<LogLine>::parallelize(*engine_, lines,
@@ -182,7 +166,7 @@ IngestReport BatchIngestor::ingest_lines(const std::vector<LogLine>& lines) {
           .collect();
 
   IngestReport report;
-  std::map<std::pair<std::int64_t, titanlog::EventType>, SynopsisDelta> deltas;
+  SynopsisDeltas deltas;
   for (const auto& slice : slices) {
     report.parse.lines += slice.stats.lines;
     report.parse.events += slice.stats.events;
@@ -193,16 +177,7 @@ IngestReport BatchIngestor::ingest_lines(const std::vector<LogLine>& lines) {
     report.app_rows += slice.report.app_rows;
     report.app_location_rows += slice.report.app_location_rows;
     report.write_failures += slice.report.write_failures;
-    for (const auto& [key, d] : slice.synopsis) {
-      auto& agg = deltas[key];
-      if (agg.count == 0) {
-        agg = d;
-      } else {
-        agg.count += d.count;
-        agg.first_ts = std::min(agg.first_ts, d.first_ts);
-        agg.last_ts = std::max(agg.last_ts, d.last_ts);
-      }
-    }
+    for (const auto& [key, d] : slice.synopsis) deltas[key].merge(d);
   }
   apply_synopsis(deltas, report);
   return report;
@@ -212,39 +187,25 @@ IngestReport BatchIngestor::ingest_records(
     const std::vector<EventRecord>& events,
     const std::vector<JobRecord>& jobs) {
   IngestReport report;
-  std::mutex mu;
-  std::map<std::pair<std::int64_t, titanlog::EventType>, SynopsisDelta> deltas;
+  SynopsisDeltas deltas;
 
   auto eds = sparklite::Dataset<EventRecord>::parallelize(*engine_, events,
                                                           options_.partitions);
   auto slices = eds.map_partitions([this](std::vector<EventRecord> part) {
                      IngestReport r;
-                     std::map<std::pair<std::int64_t, titanlog::EventType>,
-                              SynopsisDelta>
-                         syn;
+                     SynopsisDeltas syn;
                      for (const auto& e : part) {
                        write_event(e, r);
                        accumulate_synopsis(syn, e);
                      }
-                     return std::vector<std::pair<
-                         IngestReport,
-                         std::map<std::pair<std::int64_t, titanlog::EventType>,
-                                  SynopsisDelta>>>{{r, std::move(syn)}};
+                     return std::vector<
+                         std::pair<IngestReport, SynopsisDeltas>>{
+                         {r, std::move(syn)}};
                    }).collect();
-  for (auto& [r, syn] : slices) {
+  for (const auto& [r, syn] : slices) {
     report.event_rows += r.event_rows;
     report.write_failures += r.write_failures;
-    std::lock_guard lock(mu);
-    for (const auto& [key, d] : syn) {
-      auto& agg = deltas[key];
-      if (agg.count == 0) {
-        agg = d;
-      } else {
-        agg.count += d.count;
-        agg.first_ts = std::min(agg.first_ts, d.first_ts);
-        agg.last_ts = std::max(agg.last_ts, d.last_ts);
-      }
-    }
+    for (const auto& [key, d] : syn) deltas[key].merge(d);
   }
   for (const auto& job : jobs) write_job(job, report);
   apply_synopsis(deltas, report);

@@ -9,6 +9,7 @@
 // slice, and per-hour synopsis rows are reconciled at the end.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -41,7 +42,23 @@ struct SynopsisDelta {
   std::int64_t count = 0;
   UnixSeconds first_ts = 0;
   UnixSeconds last_ts = 0;
+
+  /// Folds `other` in: counts add and the [first_ts, last_ts] range widens.
+  /// An empty delta (count 0) takes `other` as is.
+  void merge(const SynopsisDelta& other) noexcept {
+    if (count == 0) {
+      *this = other;
+      return;
+    }
+    count += other.count;
+    first_ts = std::min(first_ts, other.first_ts);
+    last_ts = std::max(last_ts, other.last_ts);
+  }
 };
+
+/// Synopsis deltas keyed by (hour, type).
+using SynopsisDeltas =
+    std::map<std::pair<std::int64_t, titanlog::EventType>, SynopsisDelta>;
 
 class BatchIngestor {
  public:
@@ -65,10 +82,7 @@ class BatchIngestor {
   void write_job(const titanlog::JobRecord& job, IngestReport& report);
 
   /// Read-modify-write of eventsynopsis rows for the given deltas.
-  void apply_synopsis(
-      const std::map<std::pair<std::int64_t, titanlog::EventType>,
-                     SynopsisDelta>& deltas,
-      IngestReport& report);
+  void apply_synopsis(const SynopsisDeltas& deltas, IngestReport& report);
 
   /// Attaches a materialized-view catalog (not owned): every event write
   /// folds into the covering view tile and bumps its hour epoch (partial
@@ -85,9 +99,7 @@ class BatchIngestor {
 
 /// Accumulates an event into a synopsis delta map (helper shared with the
 /// streaming path).
-void accumulate_synopsis(
-    std::map<std::pair<std::int64_t, titanlog::EventType>, SynopsisDelta>&
-        deltas,
-    const titanlog::EventRecord& e);
+void accumulate_synopsis(SynopsisDeltas& deltas,
+                         const titanlog::EventRecord& e);
 
 }  // namespace hpcla::model

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/strings.hpp"
 #include "common/telemetry.hpp"
 #include "model/streaming_ingest.hpp"
 
@@ -59,17 +60,9 @@ Status split_hour_key(std::string_view key, std::int64_t& hour,
   if (bar == std::string_view::npos) {
     return invalid_argument("bad sys key '" + std::string(key) + "'");
   }
-  const std::string_view head = key.substr(0, bar);
-  if (head.empty()) {
+  long long h = 0;
+  if (!parse_int(key.substr(0, bar), h) || h < 0) {
     return invalid_argument("bad hour in sys key '" + std::string(key) + "'");
-  }
-  std::int64_t h = 0;
-  for (const char c : head) {
-    if (c < '0' || c > '9') {
-      return invalid_argument("bad hour in sys key '" + std::string(key) +
-                              "'");
-    }
-    h = h * 10 + (c - '0');
   }
   hour = h;
   suffix = key.substr(bar + 1);

@@ -140,7 +140,7 @@ void StreamingIngestor::handle_batch(const sparklite::MicroBatch& batch,
       it->second.seq = std::min(it->second.seq, e.seq);
     }
   }
-  std::map<std::pair<std::int64_t, titanlog::EventType>, SynopsisDelta> deltas;
+  SynopsisDeltas deltas;
   IngestReport ingest;
   for (const auto& [_, e] : coalesced) {
     if (writer_.write_event(e, ingest) == 2) {

@@ -224,39 +224,6 @@ std::string render_word_bubbles(
   return out;
 }
 
-std::string render_cluster_metrics(const cassalite::ClusterMetrics& m) {
-  std::string out = "coordinator\n";
-  const auto line = [&out](const char* label, std::uint64_t v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "  %-20s %12llu\n", label,
-                  static_cast<unsigned long long>(v));
-    out += buf;
-  };
-  line("writes_ok", m.writes_ok);
-  line("writes_unavailable", m.writes_unavailable);
-  line("reads_ok", m.reads_ok);
-  line("reads_unavailable", m.reads_unavailable);
-  line("read_repairs", m.read_repairs);
-  line("read_retries", m.read_retries);
-  line("write_retries", m.write_retries);
-  line("speculative_reads", m.speculative_reads);
-  line("replica_timeouts", m.replica_timeouts);
-  line("digest_mismatches", m.digest_mismatches);
-  out += "hinted handoff\n";
-  line("hints_stored", m.hints_stored);
-  line("hints_replayed", m.hints_replayed);
-  line("hints_expired", m.hints_expired);
-  line("hints_overflowed", m.hints_overflowed);
-  out += "topology + repair\n";
-  line("topology_changes", m.topology_changes);
-  line("pending_range_writes", m.pending_range_writes);
-  line("stream_rows_sent", m.stream_rows_sent);
-  line("repairs_scheduled", m.repairs_scheduled);
-  line("ranges_streamed", m.ranges_streamed);
-  line("repair_rows_sent", m.repair_rows_sent);
-  return out;
-}
-
 std::string render_trace(const std::vector<telemetry::SpanRecord>& spans) {
   if (spans.empty()) return "(empty trace)\n";
   // Index children by parent, siblings ordered by (start, span_id) — span

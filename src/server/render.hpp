@@ -11,7 +11,6 @@
 
 #include "analytics/heatmap.hpp"
 #include "analytics/text.hpp"
-#include "cassalite/cluster.hpp"
 #include "common/status.hpp"
 #include "common/telemetry.hpp"
 #include "titanlog/record.hpp"
@@ -47,11 +46,6 @@ Status write_heatmap_ppm(const analytics::HeatMap& hm,
 /// Word-bubble stand-in (Fig 7 bottom): terms sized by count, one per line.
 std::string render_word_bubbles(
     const std::vector<analytics::TermCount>& terms);
-
-/// Coordinator health panel: write/read outcomes, hint lifecycle, and the
-/// resilience counters (retries, speculation, timeouts, digest mismatches)
-/// as labelled rows — the ops view next to the storage/broker metrics.
-std::string render_cluster_metrics(const cassalite::ClusterMetrics& m);
 
 /// Flame-style text rendering of one trace: spans as an indented tree
 /// (children under their parent, siblings in start order), each row showing

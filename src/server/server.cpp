@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <optional>
 
 #include "analytics/app_profile.hpp"
 #include "analytics/assoc.hpp"
@@ -25,73 +25,127 @@
 namespace hpcla::server {
 
 using analytics::Context;
+using model::views::ViewCatalog;
+using model::views::ViewQuery;
+
+namespace {
+
+/// Answers a cacheable op from the materialized views, or nullopt when the
+/// op's arguments are off the views' grid (the engine handler answers).
+using ViewAnswerer = std::optional<Json> (*)(const ViewCatalog& views,
+                                             const Json& request,
+                                             const ViewQuery& q);
+
+std::optional<Json> view_heatmap(const ViewCatalog&, const Json&,
+                                 const ViewQuery&);
+std::optional<Json> view_distribution(const ViewCatalog&, const Json&,
+                                      const ViewQuery&);
+std::optional<Json> view_hourly(const ViewCatalog&, const Json&,
+                                const ViewQuery&);
+std::optional<Json> view_timeseries(const ViewCatalog&, const Json&,
+                                    const ViewQuery&);
+std::optional<Json> view_burst(const ViewCatalog&, const Json&,
+                               const ViewQuery&);
+
+/// Views only cover the dimensions the event tables filter on: an
+/// hour-aligned window with no user/app restriction. Anything else falls
+/// through to the engine (and still populates the result cache).
+std::optional<Json> answer_from_views(ViewAnswerer answer,
+                                      const ViewCatalog& views,
+                                      const Json& request,
+                                      const Context& ctx) {
+  if (!ViewCatalog::aligned(ctx.window)) return std::nullopt;
+  if (!ctx.users.empty() || !ctx.apps.empty()) return std::nullopt;
+  return answer(views, request,
+                ViewQuery{ctx.window, ctx.types, ctx.location});
+}
+
+Status unknown_op(std::string_view op) {
+  return not_found("unknown op '" + std::string(op) + "'");
+}
+
+}  // namespace
+
+/// The paper's routing decision (§III-A, Fig 3) for one frontend op: its
+/// path, its handler and, when the materialized views can answer it, its
+/// view answerer. An op is cacheable exactly when it has a view answerer.
+struct AnalyticsServer::Op {
+  std::string_view name;
+  QueryPath path;
+  Result<Json> (AnalyticsServer::*handler)(const Json& request);
+  ViewAnswerer view = nullptr;
+};
+
+const AnalyticsServer::Op* AnalyticsServer::find_op(
+    std::string_view name) noexcept {
+  constexpr QueryPath kSimple = QueryPath::kSimple;
+  constexpr QueryPath kComplex = QueryPath::kComplex;
+  using S = AnalyticsServer;
+  static constexpr Op kOps[] = {
+      {"cql", kSimple, &S::op_cql},
+      {"nodeinfo", kSimple, &S::op_nodeinfo},
+      {"eventtypes", kSimple, &S::op_eventtypes},
+      {"synopsis", kSimple, &S::op_synopsis},
+      {"events", kSimple, &S::op_events},
+      {"jobs", kSimple, &S::op_jobs},
+      {"metrics", kSimple, &S::op_metrics},
+      {"trace", kSimple, &S::op_trace},
+      {"slowlog", kSimple, &S::op_slowlog},
+      {"topology", kSimple, &S::op_topology},
+      {"repair", kSimple, &S::op_repair},
+      {"alerts", kSimple, &S::op_alerts},
+      {"selfquery", kSimple, &S::op_selfquery},
+      {"heatmap", kComplex, &S::op_heatmap, view_heatmap},
+      {"distribution", kComplex, &S::op_distribution, view_distribution},
+      {"hourly", kComplex, &S::op_hourly, view_hourly},
+      {"timeseries", kComplex, &S::op_timeseries, view_timeseries},
+      {"burst", kComplex, &S::op_burst, view_burst},
+      {"cross_correlation", kComplex, &S::op_cross_correlation},
+      {"transfer_entropy", kComplex, &S::op_transfer_entropy},
+      {"word_count", kComplex, &S::op_word_count},
+      {"storm_signature", kComplex, &S::op_storm_signature},
+      {"apps_running", kComplex, &S::op_apps_running},
+      {"reliability", kComplex, &S::op_reliability},
+      {"app_impact", kComplex, &S::op_app_impact},
+      {"render_heatmap", kComplex, &S::op_render_heatmap},
+      {"render_placement", kComplex, &S::op_render_placement},
+      {"association_rules", kComplex, &S::op_association_rules},
+      {"composite_events", kComplex, &S::op_composite_events},
+      {"app_profiles", kComplex, &S::op_app_profiles},
+      {"predict_failures", kComplex, &S::op_predict_failures},
+  };
+  for (const Op& op : kOps) {
+    if (op.name == name) return &op;
+  }
+  return nullptr;
+}
 
 Result<QueryPath> classify_query(std::string_view op) {
-  static const std::map<std::string_view, QueryPath> kOps = {
-      {"cql", QueryPath::kSimple},
-      {"nodeinfo", QueryPath::kSimple},
-      {"eventtypes", QueryPath::kSimple},
-      {"synopsis", QueryPath::kSimple},
-      {"events", QueryPath::kSimple},
-      {"jobs", QueryPath::kSimple},
-      {"metrics", QueryPath::kSimple},
-      {"trace", QueryPath::kSimple},
-      {"slowlog", QueryPath::kSimple},
-      {"topology", QueryPath::kSimple},
-      {"repair", QueryPath::kSimple},
-      {"alerts", QueryPath::kSimple},
-      {"selfquery", QueryPath::kSimple},
-      {"heatmap", QueryPath::kComplex},
-      {"distribution", QueryPath::kComplex},
-      {"hourly", QueryPath::kComplex},
-      {"timeseries", QueryPath::kComplex},
-      {"burst", QueryPath::kComplex},
-      {"cross_correlation", QueryPath::kComplex},
-      {"transfer_entropy", QueryPath::kComplex},
-      {"word_count", QueryPath::kComplex},
-      {"storm_signature", QueryPath::kComplex},
-      {"apps_running", QueryPath::kComplex},
-      {"reliability", QueryPath::kComplex},
-      {"app_impact", QueryPath::kComplex},
-      {"render_heatmap", QueryPath::kComplex},
-      {"render_placement", QueryPath::kComplex},
-      {"association_rules", QueryPath::kComplex},
-      {"composite_events", QueryPath::kComplex},
-      {"app_profiles", QueryPath::kComplex},
-      {"predict_failures", QueryPath::kComplex},
-  };
-  const auto it = kOps.find(op);
-  if (it == kOps.end()) {
-    return not_found("unknown op '" + std::string(op) + "'");
-  }
-  return it->second;
+  const AnalyticsServer::Op* row = AnalyticsServer::find_op(op);
+  if (row == nullptr) return unknown_op(op);
+  return row->path;
 }
 
 Json AnalyticsServer::handle(const Json& request) {
   Json response = Json::object();
-  auto op = request.get_string("op");
-  if (!op.is_ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+  auto name = request.get_string("op");
+  const Op* op = name.is_ok() ? find_op(name.value()) : nullptr;
+  if (op == nullptr) {
+    errors_.add();
     response["status"] = "error";
-    response["error"] = op.status().to_string();
+    response["error"] =
+        (name.is_ok() ? unknown_op(name.value()) : name.status()).to_string();
     return response;
   }
-  auto path = classify_query(op.value());
-  if (!path.is_ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    response["status"] = "error";
-    response["error"] = path.status().to_string();
-    return response;
-  }
-  const bool simple = path.value() == QueryPath::kSimple;
+  const bool simple = op->path == QueryPath::kSimple;
   // Root span: everything the query touches downstream (coordinator reads,
   // sparklite stages, replica tries) becomes a child of this trace.
-  telemetry::Span span = telemetry::Span::root("server." + op.value());
-  span.tag("op", op.value());
+  telemetry::Span span = telemetry::Span::root("server." + name.value());
+  span.tag("op", name.value());
   span.tag("path", simple ? "simple" : "complex");
   const Stopwatch watch;
-  // Result cache / materialized views (DESIGN.md §12): cacheable complex
-  // ops consult the LRU keyed by normalized request + view epoch, then the
+  // Result cache / materialized views (DESIGN.md §12): cacheable ops
+  // consult the LRU keyed by normalized request + view epoch, then the
   // views, before falling back to the engine. The epoch fingerprint is
   // read BEFORE any compute, so an ingest that completes during the query
   // bumps the current epoch past what we store — the entry invalidates on
@@ -101,7 +155,7 @@ Json AnalyticsServer::handle(const Json& request) {
   std::uint64_t epoch = 0;
   bool store = false;
   std::optional<Result<Json>> result;
-  if (views_ != nullptr && cacheable_op(op.value())) {
+  if (views_ != nullptr && op->view != nullptr) {
     auto ctx = context_of(request);
     if (ctx.is_ok()) {
       cache_key = normalized_cache_key(request);
@@ -109,10 +163,11 @@ Json AnalyticsServer::handle(const Json& request) {
       if (auto cached = cache_.lookup(cache_key, epoch)) {
         cache_state = "hit";
         result.emplace(std::move(*cached));
-      } else if (auto viewed = try_view(op.value(), request, ctx.value())) {
+      } else if (auto viewed =
+                     answer_from_views(op->view, *views_, request, *ctx)) {
         cache_state = "view";
         store = true;
-        view_served_.fetch_add(1, std::memory_order_relaxed);
+        view_served_.add();
         result.emplace(std::move(*viewed));
       } else {
         cache_state = "miss";
@@ -120,7 +175,7 @@ Json AnalyticsServer::handle(const Json& request) {
       }
     }
   }
-  if (!result.has_value()) result.emplace(dispatch(op.value(), request));
+  if (!result.has_value()) result.emplace((this->*op->handler)(request));
   if (store && result->is_ok()) {
     cache_.insert(cache_key, epoch, result->value());
   }
@@ -132,13 +187,13 @@ Json AnalyticsServer::handle(const Json& request) {
   }
   if (!result->is_ok()) {
     span.tag("status", "error");
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_.add();
     response["status"] = "error";
     response["error"] = result->status().to_string();
     return response;
   }
   span.tag("status", "ok");
-  (simple ? simple_ : complex_).fetch_add(1, std::memory_order_relaxed);
+  (simple ? simple_ : complex_).add();
   response["status"] = "ok";
   response["path"] = simple ? "simple" : "complex";
   if (cache_state != nullptr) response["cache"] = cache_state;
@@ -146,65 +201,16 @@ Json AnalyticsServer::handle(const Json& request) {
   return response;
 }
 
-bool AnalyticsServer::cacheable_op(std::string_view op) noexcept {
-  return op == "heatmap" || op == "distribution" || op == "hourly" ||
-         op == "timeseries" || op == "burst";
-}
-
 std::string AnalyticsServer::handle_text(std::string_view request) {
   auto parsed = Json::parse(request);
   if (!parsed.is_ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_.add();
     Json response = Json::object();
     response["status"] = "error";
     response["error"] = parsed.status().to_string();
     return response.dump();
   }
   return handle(parsed.value()).dump();
-}
-
-ServerMetrics AnalyticsServer::metrics() const {
-  ServerMetrics m;
-  m.simple_queries = simple_.load(std::memory_order_relaxed);
-  m.complex_queries = complex_.load(std::memory_order_relaxed);
-  m.errors = errors_.load(std::memory_order_relaxed);
-  return m;
-}
-
-Result<Json> AnalyticsServer::dispatch(std::string_view op,
-                                       const Json& request) {
-  if (op == "cql") return op_cql(request);
-  if (op == "nodeinfo") return op_nodeinfo(request);
-  if (op == "eventtypes") return op_eventtypes(request);
-  if (op == "synopsis") return op_synopsis(request);
-  if (op == "events") return op_events(request);
-  if (op == "jobs") return op_jobs(request);
-  if (op == "metrics") return op_metrics(request);
-  if (op == "trace") return op_trace(request);
-  if (op == "slowlog") return op_slowlog(request);
-  if (op == "topology") return op_topology(request);
-  if (op == "repair") return op_repair(request);
-  if (op == "alerts") return op_alerts(request);
-  if (op == "selfquery") return op_selfquery(request);
-  if (op == "heatmap") return op_heatmap(request);
-  if (op == "distribution") return op_distribution(request);
-  if (op == "hourly") return op_hourly(request);
-  if (op == "timeseries") return op_timeseries(request);
-  if (op == "burst") return op_burst(request);
-  if (op == "cross_correlation") return op_cross_correlation(request);
-  if (op == "transfer_entropy") return op_transfer_entropy(request);
-  if (op == "word_count") return op_word_count(request);
-  if (op == "storm_signature") return op_storm_signature(request);
-  if (op == "apps_running") return op_apps_running(request);
-  if (op == "reliability") return op_reliability(request);
-  if (op == "app_impact") return op_app_impact(request);
-  if (op == "render_heatmap") return op_render_heatmap(request);
-  if (op == "render_placement") return op_render_placement(request);
-  if (op == "association_rules") return op_association_rules(request);
-  if (op == "composite_events") return op_composite_events(request);
-  if (op == "app_profiles") return op_app_profiles(request);
-  if (op == "predict_failures") return op_predict_failures(request);
-  return not_found("unhandled op '" + std::string(op) + "'");
 }
 
 Result<Context> AnalyticsServer::context_of(const Json& request) const {
@@ -224,43 +230,8 @@ Result<Json> AnalyticsServer::op_cql(const Json& request) {
 }
 
 Result<Json> AnalyticsServer::op_metrics(const Json&) {
-  const ServerMetrics sm = metrics();
-  const cassalite::ClusterMetrics cm = cluster_->metrics();
-  Json server = Json::object();
-  server["simple_queries"] = Json(static_cast<std::int64_t>(sm.simple_queries));
-  server["complex_queries"] =
-      Json(static_cast<std::int64_t>(sm.complex_queries));
-  server["errors"] = Json(static_cast<std::int64_t>(sm.errors));
-  Json cluster = Json::object();
-  const auto put = [&cluster](const char* k, std::uint64_t v) {
-    cluster[k] = Json(static_cast<std::int64_t>(v));
-  };
-  put("writes_ok", cm.writes_ok);
-  put("writes_unavailable", cm.writes_unavailable);
-  put("reads_ok", cm.reads_ok);
-  put("reads_unavailable", cm.reads_unavailable);
-  put("hints_stored", cm.hints_stored);
-  put("hints_replayed", cm.hints_replayed);
-  put("hints_expired", cm.hints_expired);
-  put("hints_overflowed", cm.hints_overflowed);
-  put("read_repairs", cm.read_repairs);
-  put("read_retries", cm.read_retries);
-  put("write_retries", cm.write_retries);
-  put("speculative_reads", cm.speculative_reads);
-  put("replica_timeouts", cm.replica_timeouts);
-  put("digest_mismatches", cm.digest_mismatches);
-  put("topology_changes", cm.topology_changes);
-  put("pending_range_writes", cm.pending_range_writes);
-  put("stream_rows_sent", cm.stream_rows_sent);
-  put("repairs_scheduled", cm.repairs_scheduled);
-  put("ranges_streamed", cm.ranges_streamed);
-  put("repair_rows_sent", cm.repair_rows_sent);
-  Json j = Json::object();
-  j["server"] = std::move(server);
-  j["cluster"] = std::move(cluster);
-  j["rendered"] = Json(render_cluster_metrics(cm));
-  // Registry-wide view: every live module's instruments under their stable
-  // names (see README "Telemetry"), plus Prometheus text exposition.
+  // The registry: every live module's instruments under their stable names
+  // (see README "Telemetry"), plus their Prometheus text exposition.
   const telemetry::RegistrySnapshot snap = telemetry::registry().snapshot();
   Json reg = Json::object();
   Json counters = Json::object();
@@ -285,6 +256,7 @@ Result<Json> AnalyticsServer::op_metrics(const Json&) {
     hists[name] = std::move(row);
   }
   reg["histograms"] = std::move(hists);
+  Json j = Json::object();
   j["registry"] = std::move(reg);
   j["prometheus"] = Json(telemetry::prometheus_text(snap));
   return j;
@@ -802,59 +774,65 @@ Result<Json> AnalyticsServer::op_timeseries(const Json& request) {
                                                  bin));
 }
 
-std::optional<Json> AnalyticsServer::try_view(std::string_view op,
-                                              const Json& request,
-                                              const Context& ctx) {
-  using model::views::ViewCatalog;
-  // Views only cover the dimensions the event tables filter on: an
-  // hour-aligned window with no user/app restriction. Anything else falls
-  // through to the engine (and still populates the result cache).
-  if (!ViewCatalog::aligned(ctx.window)) return std::nullopt;
-  if (!ctx.users.empty() || !ctx.apps.empty()) return std::nullopt;
-  model::views::ViewQuery q{ctx.window, ctx.types, ctx.location};
-  if (op == "heatmap") {
-    const auto hm = analytics::heatmap_from_counts(views_->heatmap_counts(q));
-    return heatmap_json(hm, request.get_double("k_sigma").value_or(3.0));
-  }
-  if (op == "hourly") return hourly_json(views_->hourly_counts(q));
-  if (op == "distribution") {
-    // Only the per-type grouping is materialized.
-    if (request.get_string("group_by").value_or("") != "type") {
-      return std::nullopt;
-    }
-    return label_count_json(views_->type_counts(q));
-  }
-  if (op == "burst") {
-    // Tile sketches are whole-system and per-type at the catalog's fixed
-    // epsilon: a location filter, a non-type grouping, or a custom
-    // epsilon all need the engine's per-event pass.
-    if (ctx.location) return std::nullopt;
-    if (request.get_string("group_by").value_or("type") != "type") {
-      return std::nullopt;
-    }
-    if (request.get_double("epsilon")
-            .value_or(ViewCatalog::kBurstEpsilon) !=
-        ViewCatalog::kBurstEpsilon) {
-      return std::nullopt;
-    }
-    return burst_json(views_->burst_percentiles(q));
-  }
-  if (op == "timeseries") {
-    // Only the hourly bin matches the tile grid; event_series replaces the
-    // context's type list with the requested type.
-    if (request.get_int("bin_seconds").value_or(60) !=
-        ViewCatalog::kHourSeconds) {
-      return std::nullopt;
-    }
-    auto type = type_field(request, "type");
-    if (!type.is_ok()) return std::nullopt;  // engine path reports the error
-    model::views::ViewQuery tq = q;
-    tq.types = {type.value()};
-    return timeseries_json(ViewCatalog::kHourSeconds,
-                           views_->hour_series(tq));
-  }
-  return std::nullopt;
+namespace {
+
+// View answerers of the cacheable ops: the same responses as the engine
+// handlers above, built from the view tiles, or nullopt when the request
+// is off the tile grid.
+
+std::optional<Json> view_heatmap(const ViewCatalog& views,
+                                 const Json& request, const ViewQuery& q) {
+  const auto hm = analytics::heatmap_from_counts(views.heatmap_counts(q));
+  return heatmap_json(hm, request.get_double("k_sigma").value_or(3.0));
 }
+
+std::optional<Json> view_distribution(const ViewCatalog& views,
+                                      const Json& request,
+                                      const ViewQuery& q) {
+  // Only the per-type grouping is materialized.
+  if (request.get_string("group_by").value_or("") != "type") {
+    return std::nullopt;
+  }
+  return label_count_json(views.type_counts(q));
+}
+
+std::optional<Json> view_hourly(const ViewCatalog& views, const Json&,
+                                const ViewQuery& q) {
+  return hourly_json(views.hourly_counts(q));
+}
+
+std::optional<Json> view_timeseries(const ViewCatalog& views,
+                                    const Json& request, const ViewQuery& q) {
+  // Only the hourly bin matches the tile grid; event_series replaces the
+  // context's type list with the requested type.
+  if (request.get_int("bin_seconds").value_or(60) !=
+      ViewCatalog::kHourSeconds) {
+    return std::nullopt;
+  }
+  auto type = type_field(request, "type");
+  if (!type.is_ok()) return std::nullopt;  // engine path reports the error
+  ViewQuery tq = q;
+  tq.types = {type.value()};
+  return timeseries_json(ViewCatalog::kHourSeconds, views.hour_series(tq));
+}
+
+std::optional<Json> view_burst(const ViewCatalog& views, const Json& request,
+                               const ViewQuery& q) {
+  // Tile sketches are whole-system and per-type at the catalog's fixed
+  // epsilon: a location filter, a non-type grouping, or a custom epsilon
+  // all need the engine's per-event pass.
+  if (q.location) return std::nullopt;
+  if (request.get_string("group_by").value_or("type") != "type") {
+    return std::nullopt;
+  }
+  if (request.get_double("epsilon").value_or(ViewCatalog::kBurstEpsilon) !=
+      ViewCatalog::kBurstEpsilon) {
+    return std::nullopt;
+  }
+  return burst_json(views.burst_percentiles(q));
+}
+
+}  // namespace
 
 Result<Json> AnalyticsServer::op_cross_correlation(const Json& request) {
   auto ctx = context_of(request);

@@ -9,23 +9,22 @@
 //  unit."
 //
 // AnalyticsServer::handle() is the request entry point: a JSON query in,
-// a JSON response out. The classifier routes lookups/slices (simple) to
-// direct cassalite reads and analytics (complex) to sparklite jobs.
-// With a ViewCatalog attached (set_view_catalog), the repeated complex
-// aggregations (heatmap/distribution/hourly/timeseries) are answered from
-// a bounded result cache or the materialized views when possible
-// (DESIGN.md §12); the response carries a "cache":"hit|view|miss" field.
+// a JSON response out. One op table in server.cpp names every op once:
+// its path (lookups/slices are simple, direct cassalite reads; analytics
+// are complex, sparklite jobs), its handler and, for the ops the
+// materialized views can answer, its view answerer. With a ViewCatalog
+// attached (set_view_catalog), those ops are answered from a bounded
+// result cache or the views when possible (DESIGN.md §12); the response
+// carries a "cache":"hit|view|miss" field.
 // AsyncSession reproduces the Tornado long-polling shape: submit returns a
 // ticket, poll retrieves the response when ready.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "analytics/context.hpp"
@@ -43,14 +42,8 @@ namespace hpcla::server {
 /// Routing decision for a query op.
 enum class QueryPath { kSimple, kComplex };
 
-/// Classifies an op name; kNotFound for unknown ops.
+/// Classifies an op name from the op table; kNotFound for unknown ops.
 Result<QueryPath> classify_query(std::string_view op);
-
-struct ServerMetrics {
-  std::uint64_t simple_queries = 0;
-  std::uint64_t complex_queries = 0;
-  std::uint64_t errors = 0;
-};
 
 class AnalyticsServer {
  public:
@@ -59,14 +52,6 @@ class AnalyticsServer {
       : cluster_(&cluster), engine_(&engine), cache_(cache_options) {
     telemetry_ = telemetry::registry().register_collector(
         [this](telemetry::MetricSink& sink) {
-          sink.counter("server.queries.simple",
-                       simple_.load(std::memory_order_relaxed));
-          sink.counter("server.queries.complex",
-                       complex_.load(std::memory_order_relaxed));
-          sink.counter("server.queries.errors",
-                       errors_.load(std::memory_order_relaxed));
-          sink.counter("server.queries.view_served",
-                       view_served_.load(std::memory_order_relaxed));
           const QueryCacheStats cs = cache_.stats();
           sink.counter("server.cache.hits", cs.hits);
           sink.counter("server.cache.misses", cs.misses);
@@ -100,23 +85,19 @@ class AnalyticsServer {
   /// Response envelope: {"status":"ok","path":"simple|complex",
   ///                     "result":...} or {"status":"error","error":"..."}
   ///
-  /// Ops (see README for the full schema):
-  ///   simple:  nodeinfo, eventtypes, synopsis, events, jobs, topology,
-  ///            repair
-  ///   complex: heatmap, distribution, hourly, timeseries, burst,
-  ///            cross_correlation, transfer_entropy, word_count,
-  ///            storm_signature, apps_running, reliability, app_impact,
-  ///            render_heatmap, render_placement, composite_events,
-  ///            app_profiles, predict_failures, association_rules
+  /// The ops are the rows of the op table in server.cpp (see README for
+  /// the full schema).
   [[nodiscard]] Json handle(const Json& request);
 
   /// Convenience: parse a JSON request string, handle, serialize response.
   [[nodiscard]] std::string handle_text(std::string_view request);
 
-  [[nodiscard]] ServerMetrics metrics() const;
-
  private:
-  Result<Json> dispatch(std::string_view op, const Json& request);
+  /// One row of the op table (server.cpp).
+  struct Op;
+  /// The op table row named `name`, or nullptr.
+  static const Op* find_op(std::string_view name) noexcept;
+  friend Result<QueryPath> classify_query(std::string_view op);
 
   // simple path
   Result<Json> op_cql(const Json& request);
@@ -155,33 +136,27 @@ class AnalyticsServer {
 
   Result<analytics::Context> context_of(const Json& request) const;
 
-  /// Ops whose results are view-servable and cache-eligible.
-  [[nodiscard]] static bool cacheable_op(std::string_view op) noexcept;
-
-  /// Answers `op` from the materialized views when the context is
-  /// view-covered (aligned window, no user/app dimension, op arguments
-  /// on the hourly grid); nullopt falls through to the engine.
-  [[nodiscard]] std::optional<Json> try_view(std::string_view op,
-                                             const Json& request,
-                                             const analytics::Context& ctx);
-
   cassalite::Cluster* cluster_;
   sparklite::Engine* engine_;
   model::views::ViewCatalog* views_ = nullptr;           ///< not owned
   model::selftel::SelfTelemetryLoop* selftel_ = nullptr;  ///< not owned
   QueryCache cache_;
-  mutable std::atomic<std::uint64_t> simple_{0};
-  mutable std::atomic<std::uint64_t> complex_{0};
-  mutable std::atomic<std::uint64_t> errors_{0};
-  mutable std::atomic<std::uint64_t> view_served_{0};
-  // Per-path end-to-end latency (registry references cached once; record
-  // is lock-free).
+  // Query outcomes and per-path end-to-end latency, process-wide (registry
+  // references cached once; recording is lock-free).
+  telemetry::Counter& simple_ =
+      telemetry::registry().counter("server.queries.simple");
+  telemetry::Counter& complex_ =
+      telemetry::registry().counter("server.queries.complex");
+  telemetry::Counter& errors_ =
+      telemetry::registry().counter("server.queries.errors");
+  telemetry::Counter& view_served_ =
+      telemetry::registry().counter("server.queries.view_served");
   telemetry::LatencyHistogram& simple_hist_ =
       telemetry::registry().histogram("server.query.simple.us");
   telemetry::LatencyHistogram& complex_hist_ =
       telemetry::registry().histogram("server.query.complex.us");
-  /// Registry collector (captures `this`); last member so it deregisters
-  /// before the counters it reads.
+  /// Query-cache collector (captures `this`); last member so it
+  /// deregisters before the cache it reads.
   telemetry::CollectorHandle telemetry_;
 };
 

@@ -109,6 +109,10 @@ TEST(CqlParseTest, Rejections) {
   EXPECT_FALSE(parse_cql("SELECT * FROM t; garbage").is_ok());
   EXPECT_FALSE(parse_cql("INSERT INTO t (a, b) VALUES (1)").is_ok());
   EXPECT_FALSE(parse_cql("SELECT * FROM t WHERE a = 'unterminated").is_ok());
+  // An integer literal outside int64 is refused, not wrapped.
+  const auto huge = parse_cql("SELECT * FROM t WHERE a = 25000000000000000000");
+  ASSERT_FALSE(huge.is_ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------------------------- execution

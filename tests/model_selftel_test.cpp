@@ -97,6 +97,10 @@ TEST(SysCodecTest, BadPartitionKeysAreRejected) {
   EXPECT_FALSE(decode_sys_metric_row("no-separator", row).is_ok());
   EXPECT_FALSE(decode_sys_metric_row("|name", row).is_ok());
   EXPECT_FALSE(decode_sys_metric_row("12a|name", row).is_ok());
+  // Out-of-range and negative hours are rejected, not wrapped.
+  EXPECT_FALSE(
+      decode_sys_metric_row("99999999999999999999|name", row).is_ok());
+  EXPECT_FALSE(decode_sys_metric_row("-5|name", row).is_ok());
   // A corrupt clustering key is a decode error, not a crash.
   Row bad = row;
   bad.key = ClusteringKey::of({Value(std::string("not-ts"))});
