@@ -2,6 +2,14 @@
 
 namespace hpcla::analytics {
 
+Status check_window_span(const TimeRange& window) {
+  if (window.last_hour() - window.first_hour() + 1 > kMaxWindowHours) {
+    return invalid_argument("window spans more than " +
+                            std::to_string(kMaxWindowHours) + " hours");
+  }
+  return Status::ok();
+}
+
 Json Context::to_json() const {
   Json j = Json::object();
   Json w = Json::object();
@@ -39,6 +47,7 @@ Result<Context> Context::from_json(const Json& j) {
   if (ctx.window.empty()) {
     return invalid_argument("context window must be non-empty");
   }
+  HPCLA_RETURN_IF_ERROR(check_window_span(ctx.window));
 
   const Json& types = j["types"];
   if (!types.is_null()) {

@@ -20,6 +20,14 @@
 
 namespace hpcla::analytics {
 
+/// Longest window a request may ask about, in hour partitions: one leap
+/// year. Scans enumerate a window's hours, so without a bound one request
+/// could ask for a key list (or a loop of reads) of any length.
+inline constexpr std::int64_t kMaxWindowHours = 8784;
+
+/// kInvalidArgument when `window` overlaps more than kMaxWindowHours hours.
+Status check_window_span(const TimeRange& window);
+
 struct Context {
   /// Event types of interest; empty = all types.
   std::vector<titanlog::EventType> types;

@@ -1,10 +1,15 @@
 #include "analytics/queries.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <set>
 
 namespace hpcla::analytics {
 
+using cassalite::ClusteringKey;
+using cassalite::Value;
 using model::decode_app_row;
 using model::decode_event_location_row;
 using model::decode_event_time_row;
@@ -49,30 +54,89 @@ std::vector<std::string> event_partition_keys(const Context& ctx,
   return keys;
 }
 
+namespace {
+
+/// Decodes one scanned event row and applies the context filter; nullopt
+/// for a corrupt row (skipped) or one the context excludes.
+std::optional<EventRecord> decode_event(ScanPlan plan, const Context& filter,
+                                        const std::string& partition_key,
+                                        const cassalite::Row& row) {
+  auto decoded = plan == ScanPlan::kByTime
+                     ? decode_event_time_row(partition_key, row)
+                     : decode_event_location_row(partition_key, row);
+  if (!decoded.is_ok()) return std::nullopt;
+  EventRecord& e = decoded.value();
+  if (!filter.window.contains(e.ts)) return std::nullopt;
+  if (!filter.wants_type(e.type)) return std::nullopt;
+  if (!filter.wants_node(e.node)) return std::nullopt;
+  return std::move(e);
+}
+
+std::string event_table(ScanPlan plan) {
+  return std::string(plan == ScanPlan::kByTime ? model::kEventByTime
+                                               : model::kEventByLocation);
+}
+
+/// What the scan path returned of one partition: how many rows, and the
+/// records they decode to (corrupt rows and those the context excludes
+/// left out).
+struct PartitionPage {
+  std::string partition;
+  std::size_t rows = 0;
+  std::vector<EventRecord> events;
+};
+
+/// The event rows `want` selects from each of `keys` (distinct), decoded
+/// and filtered inside the scan tasks: one page per partition with rows.
+std::vector<PartitionPage> scan_event_pages(
+    sparklite::Engine& engine, const cassalite::Cluster& cluster,
+    const Context& ctx, ScanPlan plan, std::vector<std::string> keys,
+    const cassalite::LimitedSlice& want) {
+  return sparklite::scan_table_keyed(engine, cluster, event_table(plan),
+                                     std::move(keys),
+                                     /*max_keys_per_task=*/0, want)
+      .map_partitions(
+          [plan, filter = ctx](
+              std::vector<std::pair<std::string, cassalite::Row>> rows) {
+            std::vector<PartitionPage> pages;
+            for (const auto& [key, row] : rows) {
+              if (pages.empty() || pages.back().partition != key) {
+                pages.push_back(PartitionPage{key, 0, {}});
+              }
+              PartitionPage& page = pages.back();
+              ++page.rows;
+              if (auto e = decode_event(plan, filter, key, row)) {
+                page.events.push_back(std::move(*e));
+              }
+            }
+            return pages;
+          })
+      .collect();
+}
+
+/// Newest first: descending (ts, seq), the reverse of fetch_events.
+bool newer(const EventRecord& a, const EventRecord& b) {
+  if (a.ts != b.ts) return a.ts > b.ts;
+  return a.seq > b.seq;
+}
+
+}  // namespace
+
 sparklite::Dataset<EventRecord> event_dataset(
     sparklite::Engine& engine, const cassalite::Cluster& cluster,
     const Context& ctx) {
   const ScanPlan plan = plan_event_scan(ctx);
   auto keys = event_partition_keys(ctx, plan);
-  auto scan = sparklite::scan_table_keyed(
-      engine, cluster,
-      std::string(plan == ScanPlan::kByTime ? model::kEventByTime
-                                            : model::kEventByLocation),
-      std::move(keys));
+  auto scan = sparklite::scan_table_keyed(engine, cluster, event_table(plan),
+                                          std::move(keys));
   // Decode + context filter inside the scan tasks.
   Context filter = ctx;
   return scan.flat_map(
       [plan, filter](const std::pair<std::string, cassalite::Row>& kv) {
         std::vector<EventRecord> out;
-        auto decoded = plan == ScanPlan::kByTime
-                           ? decode_event_time_row(kv.first, kv.second)
-                           : decode_event_location_row(kv.first, kv.second);
-        if (!decoded.is_ok()) return out;  // skip corrupt rows
-        EventRecord& e = decoded.value();
-        if (!filter.window.contains(e.ts)) return out;
-        if (!filter.wants_type(e.type)) return out;
-        if (!filter.wants_node(e.node)) return out;
-        out.push_back(std::move(e));
+        if (auto e = decode_event(plan, filter, kv.first, kv.second)) {
+          out.push_back(std::move(*e));
+        }
         return out;
       });
 }
@@ -169,10 +233,53 @@ std::vector<JobRecord> apps_running_at(sparklite::Engine& engine,
 std::vector<EventRecord> raw_log_view(sparklite::Engine& engine,
                                       const cassalite::Cluster& cluster,
                                       const Context& ctx, std::size_t limit) {
-  auto events = fetch_events(engine, cluster, ctx);
-  std::reverse(events.begin(), events.end());  // newest first
-  if (events.size() > limit) events.resize(limit);
-  return events;
+  if (limit == 0) return {};
+  // Event rows cluster by (ts, seq): the window is a clustering slice, and
+  // the newest `limit` rows of the answer are among the newest `limit` of
+  // each partition — so no storage run serves more than that.
+  const ScanPlan plan = plan_event_scan(ctx);
+  cassalite::LimitedSlice newest;
+  newest.slice.lower = ClusteringKey::of({Value(ctx.window.begin)});
+  newest.slice.upper = ClusteringKey::of({Value(ctx.window.end)});
+  newest.reverse = true;
+  // A location under the by-time plan and a type under the by-location
+  // plan are filtered after the read, which a limited read could leave
+  // short: such requests read whole partitions.
+  const bool filtered = plan == ScanPlan::kByTime ? ctx.location.has_value()
+                                                  : !ctx.types.empty();
+  newest.limit = filtered ? 0 : limit;
+  auto pages = scan_event_pages(engine, cluster, ctx, plan,
+                                event_partition_keys(ctx, plan), newest);
+
+  // A corrupt row is dropped after the read too: a partition that came
+  // back full with one may hide an answer row. Read those again, whole.
+  std::set<std::string> reread;
+  for (const PartitionPage& page : pages) {
+    if (!filtered && page.rows == limit && page.events.size() < limit) {
+      reread.insert(page.partition);
+    }
+  }
+  if (!reread.empty()) {
+    std::erase_if(pages, [&reread](const PartitionPage& page) {
+      return reread.contains(page.partition);
+    });
+    auto whole = scan_event_pages(engine, cluster, ctx, plan,
+                                  {reread.begin(), reread.end()},
+                                  {newest.slice});
+    std::move(whole.begin(), whole.end(), std::back_inserter(pages));
+  }
+
+  std::vector<EventRecord> answer;
+  for (PartitionPage& page : pages) {
+    std::move(page.events.begin(), page.events.end(),
+              std::back_inserter(answer));
+  }
+  const std::size_t keep = std::min(limit, answer.size());
+  std::partial_sort(answer.begin(),
+                    answer.begin() + static_cast<std::ptrdiff_t>(keep),
+                    answer.end(), newer);
+  answer.resize(keep);
+  return answer;
 }
 
 std::vector<SynopsisEntry> fetch_synopsis(const cassalite::Cluster& cluster,

@@ -57,7 +57,12 @@ std::vector<titanlog::JobRecord> apps_running_at(
     UnixSeconds t, std::int64_t lookback_hours = 48);
 
 /// Raw-log tabular view (paper §III-B "the tabular map of raw log
-/// entries"): newest-first event rows, bounded by `limit`.
+/// entries"): newest-first event rows, bounded by `limit` — fetch_events
+/// reversed and cut, at the cost of the page rather than the window: each
+/// storage run serves at most the newest `limit` rows of each partition's
+/// window slice. A location filtered after a by-time read or a type
+/// filtered after a by-location read makes it read whole partitions; a
+/// full partition with a corrupt row is read again, whole, once.
 std::vector<titanlog::EventRecord> raw_log_view(
     sparklite::Engine& engine, const cassalite::Cluster& cluster,
     const Context& ctx, std::size_t limit);

@@ -855,7 +855,7 @@ std::vector<Result<ReadResult>> Cluster::parallel_read(
       for (std::size_t i : indices) batch.push_back(partition_keys[i]);
       std::size_t cursor = 0;
       nodes_[node]->scan_partitions(
-          table, batch, slice,
+          table, batch, {slice},
           [&](const std::string&, std::vector<Row> rows) {
             ReadResult r;
             r.rows = std::move(rows);
@@ -936,7 +936,7 @@ std::vector<Result<ReadResult>> Cluster::parallel_read(
     for (std::size_t i : indices) batch.push_back(partition_keys[i]);
     node_rows[g].resize(indices.size());
     std::size_t cursor = 0;
-    nodes_[node]->scan_partitions(table, batch, slice,
+    nodes_[node]->scan_partitions(table, batch, {slice},
                                   [&](const std::string&, std::vector<Row> rows) {
                                     node_rows[g][cursor++] = std::move(rows);
                                   });

@@ -497,30 +497,57 @@ std::shared_ptr<const std::vector<Row>> ColumnarExtent::group_rows(
   return rows;
 }
 
-void ColumnarExtent::read(const ClusteringSlice& slice,
+void ColumnarExtent::read(const LimitedSlice& want,
                           std::vector<Row>& out) const {
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    const Group& g = groups_[i];
-    // Prune: the group covers [first, last]; skip when wholly outside.
-    if (slice.lower &&
-        g.meta.last.compare(*slice.lower) == std::strong_ordering::less) {
-      continue;
-    }
-    if (slice.upper &&
-        g.meta.first.compare(*slice.upper) != std::strong_ordering::less) {
-      // Groups are in ascending order — nothing later can match either.
-      break;
-    }
-    if (cache_ != nullptr) {
-      const auto rows = group_rows(i);
-      for (const Row& row : *rows) {
-        if (slice.admits(row.key)) out.push_back(row);
+  // Groups cover ascending, disjoint [first, last] key ranges; only those
+  // in [lo, hi) can hold a row the slice admits.
+  const ClusteringSlice& slice = want.slice;
+  const auto lo_it = std::partition_point(
+      groups_.begin(), groups_.end(), [&slice](const Group& g) {
+        return slice.lower &&
+               g.meta.last.compare(*slice.lower) == std::strong_ordering::less;
+      });
+  const auto hi_it =
+      std::partition_point(lo_it, groups_.end(), [&slice](const Group& g) {
+        return !slice.upper ||
+               g.meta.first.compare(*slice.upper) == std::strong_ordering::less;
+      });
+  const auto lo = static_cast<std::size_t>(lo_it - groups_.begin());
+  const auto hi = static_cast<std::size_t>(hi_it - groups_.begin());
+  // A limited read from the end walks the groups newest first, appending
+  // each group's rows newest first, and flips what it appended at the end.
+  const bool from_end = want.reverse && want.limit != 0;
+  LimitedSlice rest = want;  // what the groups not yet read still owe
+  const std::size_t mark = out.size();
+  const auto take = [&](auto& rows) {  // moves from owned rows, else copies
+    const auto [first, last] = rest.select(rows);
+    if (from_end) {
+      for (std::size_t k = last; k > first; --k) {
+        out.push_back(std::move(rows[k - 1]));
       }
     } else {
-      for (auto& row : decode_group(g)) {
-        if (slice.admits(row.key)) out.push_back(std::move(row));
+      for (std::size_t k = first; k < last; ++k) {
+        out.push_back(std::move(rows[k]));
       }
     }
+    if (rest.limit == 0) return false;
+    rest.limit -= last - first;
+    return rest.limit == 0;
+  };
+  for (std::size_t n = lo; n < hi; ++n) {
+    const std::size_t i = from_end ? lo + hi - 1 - n : n;
+    bool done = false;
+    if (cache_ != nullptr) {
+      const auto rows = group_rows(i);
+      done = take(*rows);
+    } else {
+      auto rows = decode_group(groups_[i]);
+      done = take(rows);
+    }
+    if (done) break;
+  }
+  if (from_end) {
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(mark), out.end());
   }
 }
 

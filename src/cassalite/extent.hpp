@@ -118,10 +118,11 @@ class ColumnarExtent {
   /// Per-group placement metadata (extent-file footer contents).
   [[nodiscard]] std::vector<ExtentGroupMeta> group_metas() const;
 
-  /// Appends slice-admitted rows to `out` in ascending clustering order,
-  /// decoding only the groups whose [first, last] key range intersects the
-  /// slice.
-  void read(const ClusteringSlice& slice, std::vector<Row>& out) const;
+  /// Appends the rows `want` selects to `out` in ascending clustering
+  /// order, decoding only the groups whose [first, last] key range
+  /// intersects the slice — and, under a limit, only those its rows come
+  /// from (walking newest first when `want.reverse`).
+  void read(const LimitedSlice& want, std::vector<Row>& out) const;
 
   /// Decodes everything (compaction, full scans).
   [[nodiscard]] std::vector<Row> decode_all() const;

@@ -31,25 +31,13 @@ std::size_t Memtable::put(const std::string& partition_key, Row row) {
 }
 
 void Memtable::read(const std::string& partition_key,
-                    const ClusteringSlice& slice, std::vector<Row>& out) const {
+                    const LimitedSlice& want, std::vector<Row>& out) const {
   const auto part = partitions_.find(partition_key);
   if (part == partitions_.end()) return;
   const auto& rows = part->second;
-  auto begin = rows.begin();
-  auto end = rows.end();
-  if (slice.lower) {
-    begin = std::lower_bound(begin, end, *slice.lower,
-                             [](const Row& r, const ClusteringKey& k) {
-                               return r.key.compare(k) == std::strong_ordering::less;
-                             });
-  }
-  if (slice.upper) {
-    end = std::lower_bound(begin, end, *slice.upper,
-                           [](const Row& r, const ClusteringKey& k) {
-                             return r.key.compare(k) == std::strong_ordering::less;
-                           });
-  }
-  out.insert(out.end(), begin, end);
+  const auto [first, last] = want.select(rows);
+  out.insert(out.end(), rows.begin() + static_cast<std::ptrdiff_t>(first),
+             rows.begin() + static_cast<std::ptrdiff_t>(last));
 }
 
 std::vector<std::string> Memtable::partition_keys() const {

@@ -22,9 +22,9 @@ class Memtable {
   /// write_ts) a row. Returns bytes added to the accounting.
   std::size_t put(const std::string& partition_key, Row row);
 
-  /// Rows of one partition admitted by the slice, ascending clustering
-  /// order. Appends to `out`.
-  void read(const std::string& partition_key, const ClusteringSlice& slice,
+  /// Appends the rows of one partition that `want` selects, in ascending
+  /// clustering order.
+  void read(const std::string& partition_key, const LimitedSlice& want,
             std::vector<Row>& out) const;
 
   /// All partition keys present (sorted).

@@ -6,9 +6,11 @@
 // Arbitrary secondary predicates are the job of the sparklite layer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cassalite/value.hpp"
@@ -48,6 +50,39 @@ struct ClusteringSlice {
     if (lower && k.compare(*lower) == std::strong_ordering::less) return false;
     if (upper && k.compare(*upper) != std::strong_ordering::less) return false;
     return true;
+  }
+};
+
+/// What a read takes from each partition it touches: the rows `slice`
+/// admits, in ascending clustering order (descending when `reverse`), cut
+/// to the first `limit` of that order — CQL's PER PARTITION LIMIT.
+struct LimitedSlice {
+  ClusteringSlice slice;
+  std::size_t limit = 0;  ///< 0 = unlimited
+  bool reverse = false;
+
+  /// The rows this selects from `rows` (ascending, one per clustering
+  /// key), as an index range [first, second): the slice's first `limit`
+  /// rows, or its last `limit` when `reverse`.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> select(
+      const std::vector<Row>& rows) const {
+    const auto below = [](const Row& r, const ClusteringKey& k) {
+      return r.key.compare(k) == std::strong_ordering::less;
+    };
+    auto begin = rows.begin();
+    auto end = rows.end();
+    if (slice.lower) begin = std::lower_bound(begin, end, *slice.lower, below);
+    if (slice.upper) end = std::lower_bound(begin, end, *slice.upper, below);
+    auto first = static_cast<std::size_t>(begin - rows.begin());
+    auto last = static_cast<std::size_t>(end - rows.begin());
+    if (limit != 0 && last - first > limit) {
+      if (reverse) {
+        first = last - limit;
+      } else {
+        last = first + limit;
+      }
+    }
+    return {first, last};
   }
 };
 

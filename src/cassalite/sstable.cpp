@@ -68,33 +68,21 @@ void SSTable::attach_file(const std::shared_ptr<ExtentFile>& file) {
   for (auto& p : partitions_) p.extent.attach_file(file);
 }
 
-bool SSTable::read(const std::string& partition_key,
-                   const ClusteringSlice& slice, std::vector<Row>& out) const {
+bool SSTable::read(const std::string& partition_key, const LimitedSlice& want,
+                   std::vector<Row>& out) const {
   if (!bloom_.may_contain(partition_key)) return false;
   const auto it = std::lower_bound(
       partitions_.begin(), partitions_.end(), partition_key,
       [](const Stored& p, const std::string& k) { return p.key < k; });
   if (it == partitions_.end() || it->key != partition_key) return true;
   if (columnar_) {
-    it->extent.read(slice, out);
+    it->extent.read(want, out);
     return true;
   }
   const auto& rows = it->rows;
-  auto begin = rows.begin();
-  auto end = rows.end();
-  if (slice.lower) {
-    begin = std::lower_bound(begin, end, *slice.lower,
-                             [](const Row& r, const ClusteringKey& k) {
-                               return r.key.compare(k) == std::strong_ordering::less;
-                             });
-  }
-  if (slice.upper) {
-    end = std::lower_bound(begin, end, *slice.upper,
-                           [](const Row& r, const ClusteringKey& k) {
-                             return r.key.compare(k) == std::strong_ordering::less;
-                           });
-  }
-  out.insert(out.end(), begin, end);
+  const auto [first, last] = want.select(rows);
+  out.insert(out.end(), rows.begin() + static_cast<std::ptrdiff_t>(first),
+             rows.begin() + static_cast<std::ptrdiff_t>(last));
   return true;
 }
 

@@ -75,10 +75,11 @@ class SSTable {
     return encoded_bytes_;
   }
 
-  /// Appends slice-admitted rows of the partition to `out`. Consults the
-  /// Bloom filter first; `bloom_rejections` metric is the caller's concern.
-  /// Returns false if the Bloom filter rejected (definite miss).
-  bool read(const std::string& partition_key, const ClusteringSlice& slice,
+  /// Appends the rows of the partition that `want` selects to `out`, in
+  /// ascending clustering order. Consults the Bloom filter first;
+  /// `bloom_rejections` metric is the caller's concern. Returns false if
+  /// the Bloom filter rejected (definite miss).
+  bool read(const std::string& partition_key, const LimitedSlice& want,
             std::vector<Row>& out) const;
 
   /// Partition keys in ascending order (metadata only — never decodes).

@@ -324,9 +324,12 @@ void StorageEngine::flush_store_locked(const std::string& table,
   next->sstables = old->sstables;
   next->sstables.push_back(std::move(sst));
   publish_snapshot(store, std::move(next));
+  // The drained map is freed after the lock scope, so readers do not wait
+  // on the deallocation of a whole memtable.
+  std::map<std::string, std::vector<Row>> drained;
   {
     std::unique_lock mem(store.mem_mu);
-    (void)store.memtable.drain();
+    drained = store.memtable.drain();
   }
   store.flushed_lsn = store.applied_lsn;
   counters_.memtable_flushes.fetch_add(1, std::memory_order_relaxed);
@@ -408,7 +411,8 @@ void StorageEngine::run_compaction(CompactionJob job) {
       std::memory_order_relaxed);
 }
 
-void StorageEngine::reconcile(std::vector<Row>& candidates) {
+bool StorageEngine::reconcile(std::vector<Row>& candidates, std::size_t limit,
+                              bool reverse) {
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Row& a, const Row& b) {
                      const auto c = a.key.compare(b.key);
@@ -428,6 +432,10 @@ void StorageEngine::reconcile(std::vector<Row>& candidates) {
     }
   }
   candidates.resize(out);
+  if (reverse) std::reverse(candidates.begin(), candidates.end());
+  if (limit == 0 || candidates.size() <= limit) return false;
+  candidates.resize(limit);
+  return true;
 }
 
 ReadResult StorageEngine::read(const ReadQuery& q) const {
@@ -442,30 +450,24 @@ ReadResult StorageEngine::read(const ReadQuery& q) const {
   std::vector<Row> candidates;
   {
     std::shared_lock mem(store->mem_mu);
-    store->memtable.read(q.partition_key, q.slice, candidates);
+    store->memtable.read(q.partition_key, {q.slice}, candidates);
   }
   const SnapshotPtr snap = load_snapshot(*store);
   for (const auto& sst : snap->sstables) {
     counters_.sstables_read.fetch_add(1, std::memory_order_relaxed);
-    if (!sst->read(q.partition_key, q.slice, candidates)) {
+    if (!sst->read(q.partition_key, {q.slice}, candidates)) {
       counters_.bloom_rejections.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (candidates.empty()) return result;
-  reconcile(candidates);
-
-  if (q.reverse) std::reverse(candidates.begin(), candidates.end());
-  if (q.limit != 0 && candidates.size() > q.limit) {
-    candidates.resize(q.limit);
-    result.truncated = true;
-  }
+  result.truncated = reconcile(candidates, q.limit, q.reverse);
   result.rows = std::move(candidates);
   return result;
 }
 
 void StorageEngine::scan_partitions(
     const std::string& table, const std::vector<std::string>& keys,
-    const ClusteringSlice& slice,
+    const LimitedSlice& want,
     const std::function<void(const std::string& key, std::vector<Row> rows)>&
         fn) const {
   telemetry::Span span("cassalite.scan");
@@ -506,6 +508,9 @@ void StorageEngine::scan_partitions(
   // Process in chunks: one shared-lock + snapshot acquisition covers a
   // whole chunk (amortized synchronization) while the merge stays
   // cache-hot. Memtable-before-snapshot order per chunk, as in read().
+  // Each run contributes at most `want.limit` rows: runs hold one row per
+  // clustering key and there are no deletes, so a key among the merged
+  // first n sits among the first n of every run that holds it.
   constexpr std::size_t kChunk = 16;
   std::vector<std::vector<Row>> mem_rows(std::min(kChunk, scan_keys.size()));
   for (std::size_t begin = 0; begin < scan_keys.size(); begin += kChunk) {
@@ -514,7 +519,7 @@ void StorageEngine::scan_partitions(
       std::shared_lock mem(store->mem_mu);
       for (std::size_t k = begin; k < end; ++k) {
         mem_rows[k - begin].clear();
-        store->memtable.read(scan_keys[k], slice, mem_rows[k - begin]);
+        store->memtable.read(scan_keys[k], want, mem_rows[k - begin]);
       }
     }
     const SnapshotPtr snap = load_snapshot(*store);
@@ -523,11 +528,11 @@ void StorageEngine::scan_partitions(
       std::vector<Row> candidates = std::move(mem_rows[k - begin]);
       for (const auto& sst : snap->sstables) {
         counters_.sstables_read.fetch_add(1, std::memory_order_relaxed);
-        if (!sst->read(key, slice, candidates)) {
+        if (!sst->read(key, want, candidates)) {
           counters_.bloom_rejections.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      reconcile(candidates);
+      reconcile(candidates, want.limit, want.reverse);
       fn(key, std::move(candidates));
     }
   }
@@ -585,9 +590,10 @@ std::size_t StorageEngine::reopen_locked(std::vector<CompactionJob>& jobs) {
   // them), and with extent files on the SSTable objects themselves are
   // rebuilt from disk rather than trusted.
   for (auto& [_, store] : tables_) {
+    std::map<std::string, std::vector<Row>> drained;  // freed unlocked
     {
       std::unique_lock mem(store.mem_mu);
-      (void)store.memtable.drain();
+      drained = store.memtable.drain();
     }
     if (options_.extent_files) {
       publish_snapshot(store, std::make_shared<TableSnapshot>());

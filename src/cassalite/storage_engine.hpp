@@ -141,14 +141,15 @@ class StorageEngine {
 
   /// Batch scan: reads several partitions of one table against a *single*
   /// snapshot acquisition and invokes `fn(key, rows)` per requested key
-  /// (rows slice-filtered, reconciled, ascending clustering order; keys
-  /// with no rows are still reported, with an empty vector). An empty
-  /// `keys` scans every partition currently on this node. This is the
-  /// sparklite node-local scan path: one task drives a whole partition
-  /// batch instead of paying per-key synchronization.
+  /// with what `want` selects of it (reconciled, in `want`'s order, at
+  /// most `want.limit` rows — each run contributes no more; keys with no
+  /// rows are still reported, with an empty vector). An empty `keys`
+  /// scans every partition currently on this node. This is the sparklite
+  /// node-local scan path: one task drives a whole partition batch
+  /// instead of paying per-key synchronization.
   void scan_partitions(
       const std::string& table, const std::vector<std::string>& keys,
-      const ClusteringSlice& slice,
+      const LimitedSlice& want,
       const std::function<void(const std::string& key, std::vector<Row> rows)>&
           fn) const;
 
@@ -280,8 +281,11 @@ class StorageEngine {
   std::size_t reopen_locked(std::vector<CompactionJob>& jobs);
 
   /// LWW-reconciles candidate rows in place (sort by key then write_ts,
-  /// keep the newest version of each clustering key).
-  static void reconcile(std::vector<Row>& candidates);
+  /// keep the newest version of each clustering key), reverses them when
+  /// asked and cuts them to `limit` (0 = all). Returns true when the cut
+  /// dropped rows.
+  static bool reconcile(std::vector<Row>& candidates, std::size_t limit,
+                        bool reverse);
 
   /// Serializes apply/flush/compaction-publish/recovery.
   mutable std::mutex writer_mu_;

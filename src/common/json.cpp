@@ -47,11 +47,22 @@ bool Json::as_bool() const {
   return std::get<bool>(rep_);
 }
 
+namespace {
+
+/// True when `d` is integral and inside [-2^63, 2^63), where the cast to
+/// int64_t is defined (NaN and the infinities are not).
+bool int64_valued(double d) noexcept {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  return d == std::floor(d) && d >= -kTwo63 && d < kTwo63;
+}
+
+}  // namespace
+
 std::int64_t Json::as_int() const {
   if (is_double()) {
     // Tolerate integral doubles (parsers of hand-written queries produce them).
     double d = std::get<double>(rep_);
-    HPCLA_CHECK_MSG(d == std::floor(d), "Json::as_int on fractional double");
+    HPCLA_CHECK_MSG(int64_valued(d), "Json::as_int on a non-int64 double");
     return static_cast<std::int64_t>(d);
   }
   HPCLA_CHECK_MSG(is_int(), "Json::as_int on non-number");
@@ -113,7 +124,7 @@ Result<std::int64_t> Json::get_int(std::string_view key) const {
   const Json* v = as_object().find(key);
   if (!v) return invalid_argument("missing field '" + std::string(key) + "'");
   if (v->is_int()) return v->as_int();
-  if (v->is_double() && v->as_double() == std::floor(v->as_double())) {
+  if (v->is_double() && int64_valued(v->as_double())) {
     return static_cast<std::int64_t>(v->as_double());
   }
   return invalid_argument("field '" + std::string(key) + "' is not an integer");

@@ -573,8 +573,9 @@ Result<Json> AnalyticsServer::op_synopsis(const Json& request) {
   if (!begin.is_ok()) return begin.status();
   auto end = request["window"].get_int("end");
   if (!end.is_ok()) return end.status();
-  auto entries =
-      analytics::fetch_synopsis(*cluster_, TimeRange{begin.value(), end.value()});
+  const TimeRange window{begin.value(), end.value()};
+  HPCLA_RETURN_IF_ERROR(analytics::check_window_span(window));
+  auto entries = analytics::fetch_synopsis(*cluster_, window);
   Json arr = Json::array();
   for (const auto& e : entries) {
     Json row = Json::object();

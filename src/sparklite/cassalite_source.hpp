@@ -23,11 +23,13 @@ namespace hpcla::sparklite {
 /// Scans the given partitions of a table into a Dataset of (key, row)
 /// pairs. When `partition_keys` is empty, all partitions of the table are
 /// scanned. `max_keys_per_task` splits one node's batch into several tasks
-/// (more parallelism within a node); 0 keeps one task per node.
+/// (more parallelism within a node); 0 keeps one task per node. `want` is
+/// what each partition contributes: a clustering slice, cut to a number of
+/// rows per partition taken from either end (default: every row).
 inline Dataset<std::pair<std::string, cassalite::Row>> scan_table_keyed(
     Engine& engine, const cassalite::Cluster& cluster,
     const std::string& table, std::vector<std::string> partition_keys = {},
-    std::size_t max_keys_per_task = 0) {
+    std::size_t max_keys_per_task = 0, cassalite::LimitedSlice want = {}) {
   if (partition_keys.empty()) {
     partition_keys = cluster.all_partition_keys(table);
   }
@@ -49,7 +51,7 @@ inline Dataset<std::pair<std::string, cassalite::Row>> scan_table_keyed(
           keys.begin() +
               static_cast<std::ptrdiff_t>(std::min(begin + chunk, keys.size())));
       parts.push_back(Dataset<Out>::Partition{
-          [&cluster, table, node = node,
+          [&cluster, table, want, node = node,
            batch = std::move(batch)](const TaskContext&) {
             // Child of the sparklite.stage span running this task (the
             // engine propagates the trace context onto pool threads).
@@ -57,9 +59,12 @@ inline Dataset<std::pair<std::string, cassalite::Row>> scan_table_keyed(
             span.tag("table", table);
             span.tag("node", static_cast<std::uint64_t>(node));
             span.tag("keys", static_cast<std::uint64_t>(batch.size()));
+            if (want.limit != 0) {
+              span.tag("limit", static_cast<std::uint64_t>(want.limit));
+            }
             std::vector<Out> out;
             cluster.engine(node).scan_partitions(
-                table, batch, {},
+                table, batch, want,
                 [&out](const std::string& key, std::vector<cassalite::Row> rows) {
                   for (auto& row : rows) out.emplace_back(key, std::move(row));
                 });

@@ -4,7 +4,10 @@
 // known ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "analytics/context.hpp"
@@ -106,6 +109,13 @@ TEST(ContextTest, FromJsonValidation) {
   EXPECT_FALSE(bad(R"({"window":{"begin":0,"end":1},"types":["Nope"]})").is_ok());
   EXPECT_FALSE(bad(R"({"window":{"begin":0,"end":1},"location":"c99-0"})").is_ok());
   EXPECT_FALSE(bad(R"({"window":{"begin":0,"end":1},"users":"usr1"})").is_ok());
+  // A window may overlap at most kMaxWindowHours hour partitions.
+  EXPECT_TRUE(bad(R"({"window":{"begin":0,"end":31622400}})").is_ok());
+  const auto too_long = bad(R"({"window":{"begin":0,"end":31622401}})");
+  ASSERT_FALSE(too_long.is_ok());
+  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(
+      bad(R"({"window":{"begin":0,"end":4611686018427387904}})").is_ok());
   auto system_loc =
       bad(R"({"window":{"begin":0,"end":1},"location":"system"})");
   ASSERT_TRUE(system_loc.is_ok());
@@ -226,15 +236,122 @@ TEST(FetchEventsTest, BothPlansReturnIdenticalResults) {
   EXPECT_EQ(via_planner.size(), expected);
 }
 
-TEST(RawLogViewTest, NewestFirstAndBounded) {
-  auto& f = shared_fixture();
-  Context ctx;
-  ctx.window = TimeRange{kT0, kT0 + 4 * 3600};
-  auto view = raw_log_view(f.engine, f.cluster, ctx, 50);
-  ASSERT_EQ(view.size(), 50u);
-  for (std::size_t i = 1; i < view.size(); ++i) {
-    EXPECT_GE(view[i - 1].ts, view[i].ts);
+// Event data spread over every kind of storage run: 8 KiB memtables flush
+// into many SSTables (compacted every 8 runs), the newest writes stay in
+// the memtables, and one corrupt row sits among the newest of a by-time
+// and of a by-location partition. The storage format follows the
+// environment (row, columnar or extent-file runs).
+struct SpreadCluster {
+  static constexpr topo::Coord kNode{4, 2, 0, 0, 0};  // in the hot cabinet
+  Cluster cluster;
+  sparklite::Engine engine;
+
+  SpreadCluster()
+      : cluster(make_opts()), engine(sparklite::EngineOptions{.workers = 4}) {
+    HPCLA_CHECK(model::create_data_model(cluster).is_ok());
+    ScenarioConfig cfg = rich_scenario();
+    cfg.window = TimeRange{kT0, kT0 + 3 * 3600};
+    // A LustreError storm over the MCE hotspot's second half: the hot
+    // node's partitions mix types, so a type filter drops rows among them.
+    titanlog::HotspotSpec lustre = cfg.hotspots.front();
+    lustre.type = EventType::kLustreError;
+    lustre.window = TimeRange{kT0 + 3600 + 1800, kT0 + 3 * 3600};
+    lustre.rate_per_node_hour = 4.0;
+    cfg.hotspots.push_back(lustre);
+    const auto logs = Generator(std::move(cfg)).generate();
+    BatchIngestor ingestor(cluster, engine);
+    HPCLA_CHECK(ingestor.ingest_records(logs.events, logs.jobs)
+                    .write_failures == 0);
+    // Newest rows of their partitions, each missing a cell decode needs.
+    cassalite::Row no_message;
+    no_message.key = cassalite::ClusteringKey::of(
+        {cassalite::Value(kT0 + 3 * 3600 - 1), cassalite::Value(1 << 30)});
+    no_message.set(std::string(model::kColNode),
+                   cassalite::Value(std::int64_t{0}));
+    HPCLA_CHECK(cluster
+                    .insert(std::string(model::kEventByTime),
+                            model::event_time_key(kHour0 + 2,
+                                                  EventType::kMachineCheck),
+                            no_message)
+                    .is_ok());
+    cassalite::Row no_type;
+    no_type.key = no_message.key;
+    no_type.set(std::string(model::kColMessage), cassalite::Value("x"));
+    HPCLA_CHECK(cluster
+                    .insert(std::string(model::kEventByLocation),
+                            model::event_location_key(
+                                kHour0 + 2, topo::titan().nodes_in(kNode)[0]),
+                            no_type)
+                    .is_ok());
   }
+
+  static ClusterOptions make_opts() {
+    ClusterOptions o = LoadedCluster::make_opts();
+    o.storage.memtable_flush_bytes = 8 << 10;
+    return o;
+  }
+};
+
+TEST(RawLogViewTest, EqualsFetchEventsReversedAndCut) {
+  static SpreadCluster f;
+  for (std::size_t n = 0; n < f.cluster.node_count(); ++n) {
+    const auto m = f.cluster.engine(static_cast<cassalite::NodeIndex>(n))
+                       .metrics();
+    EXPECT_GE(m.memtable_flushes, 3u) << "node " << n;
+    EXPECT_GE(m.compactions, 1u) << "node " << n;
+  }
+  const std::vector<TimeRange> windows = {
+      {kT0, kT0 + 3 * 3600},                // whole hours
+      {kT0 + 1234, kT0 + 2 * 3600 + 777},   // cuts its first and last hour
+      {kT0 + 3600 + 600, kT0 + 3600 + 1800},  // inside one hour
+      {kT0 + 5 * 3600, kT0 + 6 * 3600},     // no data
+  };
+  struct Selection {
+    std::vector<EventType> types;
+    std::optional<topo::Coord> location;
+  };
+  const topo::Coord hot_cabinet{4, 2, -1, -1, -1};
+  const std::vector<Selection> selections = {
+      {{}, std::nullopt},
+      {{EventType::kMachineCheck}, std::nullopt},
+      {{EventType::kMachineCheck, EventType::kLustreError}, std::nullopt},
+      {{}, hot_cabinet},                               // by time + location
+      {{EventType::kMachineCheck}, hot_cabinet},       // by time + location
+      {{}, SpreadCluster::kNode},                      // by location
+      {{EventType::kMachineCheck, EventType::kLustreError},
+       SpreadCluster::kNode},                          // by location + types
+      // Drops the hot node's MCE storm after the read.
+      {{EventType::kMemoryEcc, EventType::kLustreError}, SpreadCluster::kNode},
+  };
+  // Each plan, with and without a filter that drops rows after the read.
+  std::set<std::pair<ScanPlan, bool>> covered;
+  for (const auto& window : windows) {
+    for (const auto& sel : selections) {
+      Context ctx;
+      ctx.window = window;
+      ctx.types = sel.types;
+      ctx.location = sel.location;
+      const ScanPlan plan = plan_event_scan(ctx);
+      covered.insert({plan, plan == ScanPlan::kByTime
+                                ? ctx.location.has_value()
+                                : !ctx.types.empty()});
+      auto expected = fetch_events(f.engine, f.cluster, ctx);
+      std::reverse(expected.begin(), expected.end());
+      for (const std::size_t limit :
+           {std::size_t{1}, std::size_t{7}, std::size_t{100},
+            expected.size() + 1, std::numeric_limits<std::size_t>::max()}) {
+        const auto view = raw_log_view(f.engine, f.cluster, ctx, limit);
+        const std::size_t want = std::min(limit, expected.size());
+        ASSERT_EQ(view.size(), want)
+            << ctx.to_json().dump() << " limit " << limit;
+        for (std::size_t i = 0; i < want; ++i) {
+          ASSERT_EQ(view[i], expected[i])
+              << ctx.to_json().dump() << " limit " << limit << " at " << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(covered.size(), 4u);
 }
 
 // -------------------------------------------------------------------- jobs

@@ -2,8 +2,8 @@
 // cell type and encoding path (delta ints, raw doubles, dictionary and raw
 // text, packed bools, mixed columns, nulls), degenerate shapes (empty
 // partition, single row, ragged clustering keys), lazy group pruning on
-// slice reads, and end-to-end equivalence of the SSTable/StorageEngine
-// stack with the flag on vs. off.
+// slice reads and on limited reads from either end, and end-to-end
+// equivalence of the SSTable/StorageEngine stack with the flag on vs. off.
 #include "cassalite/extent.hpp"
 
 #include <gtest/gtest.h>
@@ -53,7 +53,7 @@ TEST(ColumnarExtent, RoundTripsEmptyAndSingleRow) {
   const auto empty = ColumnarExtent::encode({}, {});
   EXPECT_EQ(empty.group_count(), 0u);
   std::vector<Row> out;
-  empty.read(ClusteringSlice{}, out);
+  empty.read({}, out);
   EXPECT_TRUE(out.empty());
 
   Row r = make_row(42, 7);
@@ -132,12 +132,43 @@ TEST(ColumnarExtent, SliceReadDecodesOnlyIntersectingGroups) {
   slice.lower = ClusteringKey::of({Value(450)});
   slice.upper = ClusteringKey::of({Value(460)});
   std::vector<Row> out;
-  ext.read(slice, out);
+  ext.read({slice}, out);
   ASSERT_EQ(out.size(), 10u);
   EXPECT_EQ(out.front().key.parts[0].as_int(), 450);
   EXPECT_EQ(out.back().key.parts[0].as_int(), 459);
   // The range lives inside group [400,499]; at most one neighbor decoded.
   EXPECT_LE(ext.decoded_groups(), 2u) << "slice read is not pruning groups";
+}
+
+TEST(ColumnarExtent, LimitedReadsTakeTheRightEndAndPruneGroups) {
+  std::vector<Row> rows;
+  for (std::int64_t i = 0; i < 1000; ++i) rows.push_back(make_row(i, i));
+  ExtentOptions opts;
+  opts.rows_per_group = 100;
+  std::vector<ClusteringSlice> slices(3);
+  slices[1].lower = ClusteringKey::of({Value(150)});
+  slices[1].upper = ClusteringKey::of({Value(777)});
+  slices[2].lower = ClusteringKey::of({Value(455)});
+  slices[2].upper = ClusteringKey::of({Value(456)});
+  for (const auto& slice : slices) {
+    for (const bool reverse : {false, true}) {
+      for (const std::size_t limit : {1, 7, 100, 101, 250, 5000}) {
+        const LimitedSlice want{slice, limit, reverse};
+        const auto ext = ColumnarExtent::encode(rows, opts);
+        std::vector<Row> out;
+        ext.read(want, out);
+        const auto [first, last] = want.select(rows);
+        EXPECT_EQ(out, std::vector<Row>(rows.begin() + first,
+                                        rows.begin() + last))
+            << "limit " << limit << " reverse " << reverse;
+        // Only the groups the selected rows come from are decoded.
+        const std::size_t groups =
+            first == last ? 0 : (last - 1) / 100 - first / 100 + 1;
+        EXPECT_EQ(ext.decoded_groups(), groups)
+            << "limit " << limit << " reverse " << reverse;
+      }
+    }
+  }
 }
 
 TEST(ColumnarExtent, CompressesRepetitiveLogShapedData) {
@@ -190,13 +221,13 @@ TEST(ColumnarSSTable, ReadsMatchPlainSSTable) {
   for (const auto& key : plain.partition_keys()) {
     for (const auto* slice : {&whole, &narrow}) {
       std::vector<Row> a, b;
-      EXPECT_TRUE(plain.read(key, *slice, a));
-      EXPECT_TRUE(columnar.read(key, *slice, b));
+      EXPECT_TRUE(plain.read(key, {*slice}, a));
+      EXPECT_TRUE(columnar.read(key, {*slice}, b));
       EXPECT_EQ(a, b) << key;
     }
   }
   std::vector<Row> miss;
-  EXPECT_FALSE(columnar.read("absent-partition", whole, miss));
+  EXPECT_FALSE(columnar.read("absent-partition", {whole}, miss));
 }
 
 TEST(ColumnarSSTable, CompactionPreservesRowsAcrossEncodings) {
@@ -223,13 +254,13 @@ TEST(ColumnarSSTable, CompactionPreservesRowsAcrossEncodings) {
   ClusteringSlice whole;
   for (const auto& key : merged_plain->partition_keys()) {
     std::vector<Row> x, y;
-    merged_plain->read(key, whole, x);
-    merged_columnar->read(key, whole, y);
+    merged_plain->read(key, {whole}, x);
+    merged_columnar->read(key, {whole}, y);
     EXPECT_EQ(x, y) << key;
   }
   // LWW actually applied: overwritten row carries the newer cell.
   std::vector<Row> rows;
-  merged_columnar->read("part-1", whole, rows);
+  merged_columnar->read("part-1", {whole}, rows);
   ASSERT_FALSE(rows.empty());
   EXPECT_EQ(*rows[0].find("v"), Value(-1));
 }

@@ -109,7 +109,7 @@ TEST_F(ExtentFileTest, ColdSliceReadFetchesOnlyIntersectingBlocks) {
   slice.lower = ClusteringKey::of({Value(450)});
   slice.upper = ClusteringKey::of({Value(460)});
   std::vector<Row> out;
-  cold.read(slice, out);
+  cold.read({slice}, out);
   ASSERT_EQ(out.size(), 10u);
   EXPECT_EQ(out.front().key.parts[0].as_int(), 450);
   // Pruning happens on the footer's uncompressed first/last keys — only

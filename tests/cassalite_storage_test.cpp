@@ -2,6 +2,10 @@
 // storage engine (flush, compaction, merge-on-read, crash recovery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+
 #include "cassalite/bloom.hpp"
 #include "cassalite/commitlog.hpp"
 #include "cassalite/memtable.hpp"
@@ -71,7 +75,7 @@ TEST(MemtableTest, SliceBounds) {
   slice.lower = ClusteringKey::of({Value(3)});
   slice.upper = ClusteringKey::of({Value(7)});
   std::vector<Row> rows;
-  mt.read("p", slice, rows);
+  mt.read("p", {slice}, rows);
   ASSERT_EQ(rows.size(), 4u);  // ts 3,4,5,6 (keys {3,0}..{6,0} < {7})
   EXPECT_EQ(rows.front().key.parts[0].as_int(), 3);
   EXPECT_EQ(rows.back().key.parts[0].as_int(), 6);
@@ -134,7 +138,7 @@ TEST(SSTableTest, ReadSlice) {
   ClusteringSlice slice;
   slice.lower = ClusteringKey::of({Value(2)});
   std::vector<Row> rows;
-  EXPECT_TRUE(sst->read("p", slice, rows));
+  EXPECT_TRUE(sst->read("p", {slice}, rows));
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].find("msg")->as_text(), "b");
 }
@@ -370,6 +374,112 @@ TEST(StorageEngineTest, MetricsProgress) {
   EXPECT_EQ(m.writes, 1u);
   EXPECT_EQ(m.reads, 1u);
 }
+
+// Differential: a limited read or scan, forward or reverse, equals the
+// unlimited read cut to the limit, and `truncated` says exactly whether
+// the cut dropped rows. The rows are spread over the memtable, several
+// SSTables and compactions, with same-key overwrites landing in different
+// runs; every fifth write carries an older write_ts than anything before
+// it, so the newest run does not always win. Parameter: columnar extents
+// (4-row groups) instead of row SSTables.
+class LimitedReadTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LimitedReadTest, EqualsUnlimitedReadCut) {
+  StorageOptions opts;
+  if (GetParam()) opts.columnar_extents = true;
+  opts.memtable_flush_bytes = 2048;
+  opts.compaction_threshold = 4;
+  opts.extent_rows_per_group = 4;
+  StorageEngine eng(opts);
+  Rng rng(7);
+  constexpr std::uint64_t kPartitions = 3;
+  constexpr std::uint64_t kKeys = 60;
+  // partition -> ts -> (write_ts, msg) of the newest write
+  std::map<std::string, std::map<std::int64_t, std::pair<std::int64_t, std::string>>>
+      model;
+  for (std::int64_t i = 1; i <= 600; ++i) {
+    const std::string pk = "p" + std::to_string(rng.next_below(kPartitions));
+    const auto ts = static_cast<std::int64_t>(rng.next_below(kKeys));
+    const std::int64_t write_ts = i % 5 == 0 ? -i : i;
+    const std::string msg = "w" + std::to_string(i);
+    eng.apply(WriteCommand{"events", pk, make_row(ts, 0, msg, write_ts)});
+    auto [it, inserted] = model[pk].try_emplace(ts, write_ts, msg);
+    if (!inserted && write_ts > it->second.first) it->second = {write_ts, msg};
+  }
+  ASSERT_GE(eng.metrics().memtable_flushes, 3u);
+  ASSERT_GE(eng.metrics().compactions, 1u);
+
+  std::vector<ClusteringSlice> slices(5);
+  slices[1].lower = ClusteringKey::of({Value(17)});
+  slices[2].upper = ClusteringKey::of({Value(41)});
+  slices[3].lower = ClusteringKey::of({Value(23)});
+  slices[3].upper = ClusteringKey::of({Value(31), Value(0)});
+  slices[4].lower = ClusteringKey::of({Value(30)});
+  slices[4].upper = ClusteringKey::of({Value(30)});  // empty
+  const std::vector<std::string> keys = {"p0", "p1", "p2", "absent"};
+  for (const auto& slice : slices) {
+    std::map<std::string, std::vector<Row>> unlimited;
+    for (const auto& pk : keys) {
+      ReadQuery q;
+      q.table = "events";
+      q.partition_key = pk;
+      q.slice = slice;
+      auto& rows = unlimited[pk];
+      rows = eng.read(q).rows;
+      std::vector<std::pair<std::int64_t, std::string>> want;
+      for (const auto& [ts, newest] : model[pk]) {
+        if (slice.admits(ClusteringKey::of({Value(ts), Value(0)}))) {
+          want.emplace_back(newest.first, newest.second);
+        }
+      }
+      ASSERT_EQ(rows.size(), want.size()) << pk;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].write_ts, want[i].first) << pk << " at " << i;
+        EXPECT_EQ(rows[i].find("msg")->as_text(), want[i].second);
+      }
+    }
+    for (const bool reverse : {false, true}) {
+      for (const std::size_t limit :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+            std::size_t{13}, unlimited["p1"].size() - 1, unlimited["p1"].size(),
+            unlimited["p1"].size() + 1,
+            std::numeric_limits<std::size_t>::max()}) {
+        if (limit == 0) continue;
+        const LimitedSlice want{slice, limit, reverse};
+        std::map<std::string, std::vector<Row>> cut;
+        for (const auto& pk : keys) {
+          std::vector<Row> rows = unlimited[pk];
+          if (reverse) std::reverse(rows.begin(), rows.end());
+          if (rows.size() > limit) rows.resize(limit);
+          ReadQuery q;
+          q.table = "events";
+          q.partition_key = pk;
+          q.slice = slice;
+          q.limit = limit;
+          q.reverse = reverse;
+          const ReadResult got = eng.read(q);
+          EXPECT_EQ(got.rows, rows) << pk << " limit " << limit << " reverse "
+                                    << reverse;
+          EXPECT_EQ(got.truncated, unlimited[pk].size() > limit)
+              << pk << " limit " << limit << " reverse " << reverse;
+          cut[pk] = std::move(rows);
+        }
+        std::size_t scanned = 0;
+        eng.scan_partitions(
+            "events", keys, want,
+            [&](const std::string& pk, std::vector<Row> rows) {
+              ++scanned;
+              EXPECT_EQ(rows, cut[pk]) << "scan " << pk << " limit " << limit
+                                       << " reverse " << reverse;
+            });
+        EXPECT_EQ(scanned, keys.size());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RowAndColumnarRuns, LimitedReadTest,
+                         ::testing::Bool());
 
 // Property sweep: N random writes across P partitions always read back
 // complete and sorted, for several flush thresholds.

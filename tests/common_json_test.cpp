@@ -111,6 +111,22 @@ TEST(JsonTest, FallibleGetters) {
   EXPECT_FALSE(q.get_int("name").is_ok());
   EXPECT_FALSE(q.get_string("n").is_ok());
   EXPECT_FALSE(Json(3).get_int("x").is_ok());  // not an object
+  // Integral doubles outside int64's range are not integers: casting them
+  // would be undefined. The parser reads an int64-overflowing literal as a
+  // double.
+  for (const char* text : {R"({"n":1e300})", R"({"n":-1e19})",
+                           R"({"n":25000000000000000000})"}) {
+    auto parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.is_ok()) << text;
+    const auto n = parsed.value().get_int("n");
+    ASSERT_FALSE(n.is_ok()) << text << " -> " << n.value();
+    EXPECT_EQ(n.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // The range ends are exact: -2^63 is an int64, 2^63 is not.
+  q["lo"] = -9223372036854775808.0;
+  q["hi"] = 9223372036854775808.0;
+  EXPECT_EQ(q.get_int("lo").value(), INT64_MIN);
+  EXPECT_FALSE(q.get_int("hi").is_ok());
 }
 
 TEST(JsonTest, ConstIndexOnMissingReturnsNull) {

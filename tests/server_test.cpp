@@ -159,6 +159,15 @@ TEST(ServerTest, EventsTabularMap) {
   EXPECT_GE(rows.front()["ts"].as_int(), rows.back()["ts"].as_int());
   f.err(R"({"op":"events","limit":0,)" + ctx_json() + "}");
   f.err(R"({"op":"events"})");  // missing context
+  // The largest limit a request can carry returns the whole window: no
+  // arithmetic on the per-partition read limit may wrap.
+  const auto all = f.ok(R"({"op":"events","limit":9223372036854775807,)" +
+                        ctx_json() + "}");
+  std::size_t in_window = 0;
+  for (const auto& e : f.logs.events) {
+    if (e.ts >= 1489449600 && e.ts < 1489456800) ++in_window;
+  }
+  EXPECT_EQ(all["result"].as_array().size(), in_window);
 }
 
 TEST(ServerTest, JobsQuery) {
@@ -384,6 +393,18 @@ TEST(ServerTest, ErrorEnvelopes) {
   const std::uint64_t before = errors.value();
   (void)f.server.handle_text("this is not json");
   EXPECT_EQ(errors.value(), before + 1);
+  // Windows longer than kMaxWindowHours are refused before any scan: the
+  // key list of this one would not fit in memory, and a synopsis over it
+  // would read one partition per hour for ages.
+  for (const char* request :
+       {R"({"op":"events","context":{"window":{"begin":0,"end":4611686018427387904}}})",
+        R"({"op":"heatmap","context":{"window":{"begin":0,"end":4611686018427387904}}})",
+        R"({"op":"synopsis","window":{"begin":0,"end":4611686018427387904}})"}) {
+    const auto response = f.err(request);
+    EXPECT_NE(response["error"].as_string().find("INVALID_ARGUMENT"),
+              std::string::npos)
+        << request << " -> " << response["error"].as_string();
+  }
 }
 
 TEST(ServerTest, HandleTextRoundTrip) {
