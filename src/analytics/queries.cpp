@@ -155,10 +155,9 @@ std::vector<EventRecord> fetch_events(sparklite::Engine& engine,
 
 std::vector<JobRecord> fetch_jobs(sparklite::Engine& engine,
                                   const cassalite::Cluster& cluster,
-                                  const Context& ctx,
-                                  std::int64_t lookback_hours) {
+                                  const Context& ctx) {
   // Planner: a user/app restriction makes the per-user / per-app tables
-  // the cheaper access path; otherwise scan start-hour partitions.
+  // the cheaper access path; otherwise scan the window's hour partitions.
   std::string table;
   std::vector<std::string> keys;
   if (!ctx.users.empty()) {
@@ -169,9 +168,8 @@ std::vector<JobRecord> fetch_jobs(sparklite::Engine& engine,
     for (const auto& a : ctx.apps) keys.push_back(model::app_app_key(a));
   } else {
     table = std::string(model::kAppByTime);
-    const std::int64_t h0 = ctx.window.first_hour() - lookback_hours;
-    const std::int64_t h1 = ctx.window.last_hour();
-    for (std::int64_t h = h0; h <= h1; ++h) {
+    for (std::int64_t h = ctx.window.first_hour(); h <= ctx.window.last_hour();
+         ++h) {
       keys.push_back(model::app_time_key(h));
     }
   }
@@ -205,7 +203,7 @@ std::vector<JobRecord> fetch_jobs(sparklite::Engine& engine,
             return out;
           })
           .collect();
-  // Dedup (user/app scans may both be consulted in future plans) and order.
+  // Order, and keep one row of a job that runs through several hours.
   std::sort(jobs.begin(), jobs.end(),
             [](const JobRecord& a, const JobRecord& b) {
               if (a.start != b.start) return a.start < b.start;
@@ -221,13 +219,11 @@ std::vector<JobRecord> fetch_jobs(sparklite::Engine& engine,
 
 std::vector<JobRecord> apps_running_at(sparklite::Engine& engine,
                                        const cassalite::Cluster& cluster,
-                                       UnixSeconds t,
-                                       std::int64_t lookback_hours) {
+                                       UnixSeconds t) {
+  // Overlap with [t, t+1) means running at t.
   Context ctx;
   ctx.window = TimeRange{t, t + 1};
-  auto jobs = fetch_jobs(engine, cluster, ctx, lookback_hours);
-  // Overlap with [t, t+1) means running at t.
-  return jobs;
+  return fetch_jobs(engine, cluster, ctx);
 }
 
 std::vector<EventRecord> raw_log_view(sparklite::Engine& engine,

@@ -42,19 +42,20 @@ std::vector<titanlog::EventRecord> fetch_events(
     sparklite::Engine& engine, const cassalite::Cluster& cluster,
     const Context& ctx);
 
-/// Jobs matching a context. A job matches when its [start, end) overlaps
-/// the window, it touches the location (if any), and user/app match.
-/// `lookback_hours` bounds how far before the window a still-running job
-/// may have started.
+/// Jobs matching a context, ordered by (start, apid), each once. A job
+/// matches when its [start, end) overlaps the window, it touches the
+/// location (if any), and user/app match. application_by_time holds a job
+/// in every hour it runs, so a context without users or apps reads only
+/// the window's hours.
 std::vector<titanlog::JobRecord> fetch_jobs(
     sparklite::Engine& engine, const cassalite::Cluster& cluster,
-    const Context& ctx, std::int64_t lookback_hours = 48);
+    const Context& ctx);
 
 /// Applications running at one instant, with their placements — the
 /// Fig 6 "application placement on the physical system map" query.
 std::vector<titanlog::JobRecord> apps_running_at(
     sparklite::Engine& engine, const cassalite::Cluster& cluster,
-    UnixSeconds t, std::int64_t lookback_hours = 48);
+    UnixSeconds t);
 
 /// Raw-log tabular view (paper §III-B "the tabular map of raw log
 /// entries"): newest-first event rows, bounded by `limit` — fetch_events

@@ -679,16 +679,17 @@ Result<ReadTrace> Cluster::select_traced(const ReadQuery& query,
             });
   usable.resize(needed);
 
-  // Read the *full* slice (no limit/reverse) from each contributing replica
-  // so reconciliation sees comparable row sets; limit applies afterwards.
-  ReadQuery full = query;
-  full.limit = 0;
-  full.reverse = false;
+  // Every contributing replica reads the query's own cut: slice, limit and
+  // direction. Runs hold one row per clustering key and there are no
+  // deletes, so a key among the merged first `limit` rows is among the
+  // first `limit` of every replica that holds it: merging the cut reads and
+  // cutting again is exact, and digests and read repair cover just the
+  // rows the read returns.
   std::vector<ReadResult> results;
   std::vector<NodeIndex> contacted;
   results.reserve(usable.size());
   for (const ReplicaTry* t : usable) {
-    results.push_back(nodes_[t->replica]->read(full));
+    results.push_back(nodes_[t->replica]->read(query));
     contacted.push_back(t->replica);
   }
 
@@ -702,7 +703,7 @@ Result<ReadTrace> Cluster::select_traced(const ReadQuery& query,
     merged = std::move(results.front());
   } else {
     // Digest exchange: the fastest replica ships data, the rest ship
-    // digests. Identical digests prove identical full row sets, so the
+    // digests. Identical digests prove identical returned rows, so the
     // merge and repair passes are skipped entirely.
     std::vector<std::uint64_t> digests(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -715,10 +716,19 @@ Result<ReadTrace> Cluster::select_traced(const ReadQuery& query,
       digest_mismatches_.fetch_add(1, std::memory_order_relaxed);
       trace.digest_matched = false;
     }
+    // A replica holding more than `limit` rows means the union does too.
+    const bool replica_truncated =
+        std::any_of(results.begin(), results.end(),
+                    [](const ReadResult& r) { return r.truncated; });
     if (all_match && options_.digest_reads) {
       merged = std::move(results.front());
     } else {
       merged = merge_lww(results);
+      if (query.reverse) std::reverse(merged.rows.begin(), merged.rows.end());
+      if (query.limit != 0 && merged.rows.size() > query.limit) {
+        merged.rows.resize(query.limit);
+        merged.truncated = true;
+      }
       // Read repair: replicas whose digest differs from the merged state
       // get the merged rows re-applied (anti-entropy; bypasses injection).
       const std::uint64_t want = rows_digest(merged.rows);
@@ -735,16 +745,16 @@ Result<ReadTrace> Cluster::select_traced(const ReadQuery& query,
         trace.latency_ms += injector_->options().base_latency_ms;
       }
     }
+    merged.truncated = merged.truncated || replica_truncated;
   }
 
-  if (query.reverse) std::reverse(merged.rows.begin(), merged.rows.end());
-  if (query.limit != 0 && merged.rows.size() > query.limit) {
-    merged.rows.resize(query.limit);
-    merged.truncated = true;
-  }
   reads_ok_.fetch_add(1, std::memory_order_relaxed);
   if (span.active()) {
     span.tag("replicas", static_cast<std::uint64_t>(tries.size()));
+    if (query.limit != 0) {
+      span.tag("limit", static_cast<std::uint64_t>(query.limit));
+    }
+    span.tag("rows", static_cast<std::uint64_t>(merged.rows.size()));
     if (speculated) span.tag("hedged", true);
     if (!trace.digest_matched) span.tag("digest_mismatch", true);
     // Virtual latency is the deterministic duration under fault injection;

@@ -179,6 +179,8 @@ class Cluster {
 
   /// Coordinator read: queries the required number of live replicas,
   /// reconciles last-write-wins, and repairs stale replicas it touched.
+  /// Each replica reads only the query's cut (slice, `limit`, direction),
+  /// so digests and read repair cover the rows the read returns.
   /// Logically const: read repair only rewrites replica-internal state.
   [[nodiscard]] Result<ReadResult> select(
       const ReadQuery& query,
@@ -194,8 +196,9 @@ class Cluster {
   /// One page of a large partition (Cassandra-style paging): ascending
   /// clustering order, at most `page_size` rows, starting strictly after
   /// `resume_after` (nullopt = from the slice start). `query.limit` and
-  /// `query.reverse` are ignored. The returned `next` token is set iff
-  /// more rows remain; feed it back to continue.
+  /// `query.reverse` are ignored. Replicas read `page_size + 1` rows; the
+  /// returned `next` token is set iff more rows remain; feed it back to
+  /// continue.
   struct Page {
     std::vector<Row> rows;
     std::optional<ClusteringKey> next;

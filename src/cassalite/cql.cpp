@@ -427,12 +427,12 @@ Result<CqlResult> execute_select(Cluster& cluster, const CqlSelect& sel,
 
   // Slice bounds narrow the storage read where expressible; the exact CQL
   // semantics on the first clustering column ("=", ">", "<=" over
-  // multi-part keys) are enforced by a residual filter afterwards, and
-  // LIMIT is applied only post-filter (so reverse order stays correct).
+  // multi-part keys) are enforced by a residual filter afterwards. LIMIT
+  // goes down to the replicas only when no residual filter follows the
+  // read; otherwise it is applied post-filter.
   ReadQuery q;
   q.table = sel.table;
   q.partition_key = key;
-  q.limit = 0;
   q.reverse = sel.order_desc;
   if (ck_eq) {
     ClusteringKey lower;
@@ -443,6 +443,9 @@ Result<CqlResult> execute_select(Cluster& cluster, const CqlSelect& sel,
       ClusteringKey lower;
       lower.parts.push_back(*sel.ck_lower);
       q.slice.lower = std::move(lower);  // '>' residual: parts[0] != v
+    } else if (sel.ck_upper) {
+      // The smallest key with a first part: a range admits no keyless row.
+      q.slice.lower = ClusteringKey::of({Value()});
     }
     if (sel.ck_upper && !sel.ck_upper_inclusive) {
       ClusteringKey upper;
@@ -451,6 +454,9 @@ Result<CqlResult> execute_select(Cluster& cluster, const CqlSelect& sel,
     }
     // '<=' keeps the slice open above; residual: parts[0] <= v.
   }
+  const bool residual = ck_eq || (sel.ck_lower && sel.ck_lower_strict) ||
+                        (sel.ck_upper && sel.ck_upper_inclusive);
+  q.limit = residual ? 0 : sel.limit;
 
   auto result = cluster.select(q, consistency);
   if (!result.is_ok()) return result.status();

@@ -445,17 +445,21 @@ ReadResult StorageEngine::read(const ReadQuery& q) const {
   if (store == nullptr) return result;
   counters_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
 
+  // Each run serves at most `limit + 1` rows (the per-run cut of
+  // scan_partitions): the merged first `limit + 1` lie among them, so
+  // `truncated` stays exact. A limit of SIZE_MAX wraps to 0: whole runs.
+  const LimitedSlice want{q.slice, q.limit == 0 ? 0 : q.limit + 1, q.reverse};
   // Memtable BEFORE snapshot: flush publishes before draining, so this
   // order can only duplicate rows across the two sources, never lose them.
   std::vector<Row> candidates;
   {
     std::shared_lock mem(store->mem_mu);
-    store->memtable.read(q.partition_key, {q.slice}, candidates);
+    store->memtable.read(q.partition_key, want, candidates);
   }
   const SnapshotPtr snap = load_snapshot(*store);
   for (const auto& sst : snap->sstables) {
     counters_.sstables_read.fetch_add(1, std::memory_order_relaxed);
-    if (!sst->read(q.partition_key, {q.slice}, candidates)) {
+    if (!sst->read(q.partition_key, want, candidates)) {
       counters_.bloom_rejections.fetch_add(1, std::memory_order_relaxed);
     }
   }

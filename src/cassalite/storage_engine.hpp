@@ -135,7 +135,8 @@ class StorageEngine {
   void set_fault_injector(FaultInjector* injector, std::size_t node);
 
   /// Reads a partition slice, merging memtable and all SSTables
-  /// (last-write-wins per clustering key), honoring limit/reverse.
+  /// (last-write-wins per clustering key), honoring limit/reverse: each
+  /// run serves at most `limit + 1` rows, enough to tell `truncated`.
   /// Lock-free against the snapshot; safe under concurrent writers.
   [[nodiscard]] ReadResult read(const ReadQuery& q) const;
 

@@ -53,7 +53,12 @@ std::size_t BatchIngestor::write_event(const EventRecord& e,
 }
 
 void BatchIngestor::write_job(const JobRecord& job, IngestReport& report) {
-  const std::int64_t start_hour = hour_bucket(job.start);
+  // Rows go into every hour the job runs: a span past kMaxJobSpanSeconds
+  // (or an end before the start) writes nothing.
+  if (!job.span_ok()) {
+    ++report.write_failures;
+    return;
+  }
   const auto insert = [&](std::string_view table, const std::string& key,
                           Row row) {
     if (cluster_->insert(std::string(table), key, std::move(row),
@@ -63,18 +68,25 @@ void BatchIngestor::write_job(const JobRecord& job, IngestReport& report) {
     ++report.write_failures;
     return false;
   };
-  bool ok = insert(kAppByTime, app_time_key(start_hour), app_row(job));
-  ok &= insert(kAppByUser, app_user_key(job.user), app_row(job));
-  ok &= insert(kAppByApp, app_app_key(job.app_name), app_row(job));
+  // The hours [start, end) overlaps; a zero-length job keeps its start hour.
+  const std::int64_t first_hour = hour_bucket(job.start);
+  const std::int64_t last_hour =
+      hour_bucket(job.end > job.start ? job.end - 1 : job.start);
+
+  const Row row = app_row(job);
+  bool ok = true;
+  for (std::int64_t h = first_hour; h <= last_hour; ++h) {
+    ok &= insert(kAppByTime, app_time_key(h), row);
+  }
+  ok &= insert(kAppByUser, app_user_key(job.user), row);
+  ok &= insert(kAppByApp, app_app_key(job.app_name), row);
   if (ok) ++report.app_rows;
 
   // Placement fan-out: one row per (overlapped hour, node).
-  const std::int64_t first_hour = hour_bucket(job.start);
-  const std::int64_t last_hour = hour_bucket(std::max(job.start, job.end - 1));
+  const Row placement = app_location_row(job);
   for (std::int64_t h = first_hour; h <= last_hour; ++h) {
     for (const auto node : job.nodes) {
-      if (insert(kAppByLocation, app_location_key(h, node),
-                 app_location_row(job))) {
+      if (insert(kAppByLocation, app_location_key(h, node), placement)) {
         ++report.app_location_rows;
       }
     }

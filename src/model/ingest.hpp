@@ -31,7 +31,9 @@ struct IngestOptions {
 struct IngestReport {
   titanlog::ParseStats parse;
   std::uint64_t event_rows = 0;         ///< rows into event_by_time (+ mirror)
-  std::uint64_t app_rows = 0;           ///< rows into application_by_time (+ mirrors)
+  /// Jobs written whole into application_by_time (one row per hour they
+  /// run) and its by-user and by-app mirrors.
+  std::uint64_t app_rows = 0;
   std::uint64_t app_location_rows = 0;  ///< placement fan-out rows
   std::uint64_t synopsis_rows = 0;
   std::uint64_t write_failures = 0;     ///< coordinator-level UNAVAILABLE etc.
@@ -78,7 +80,10 @@ class BatchIngestor {
   std::size_t write_event(const titanlog::EventRecord& e,
                           IngestReport& report);
 
-  /// Writes one job into the four application tables.
+  /// Writes one job into the four application tables: application_by_time
+  /// and application_by_location get a row in every hour the job runs. A
+  /// job failing `JobRecord::span_ok` writes nothing and counts one write
+  /// failure.
   void write_job(const titanlog::JobRecord& job, IngestReport& report);
 
   /// Read-modify-write of eventsynopsis rows for the given deltas.

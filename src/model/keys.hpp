@@ -53,7 +53,7 @@ std::string event_location_key(std::int64_t hour, topo::NodeId node);
 /// eventsynopsis partition: "<hour>".
 std::string synopsis_key(std::int64_t hour);
 
-/// application_by_time partition: "<hour-of-start>".
+/// application_by_time partition: "<hour>", one for every hour a job runs.
 std::string app_time_key(std::int64_t hour);
 
 /// application_by_user partition: "<user>".

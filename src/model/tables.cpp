@@ -39,7 +39,7 @@ Status create_data_model(cassalite::Cluster& cluster) {
       "events on one component in one hour, time ordered (Fig 1 bottom)")));
   HPCLA_RETURN_IF_ERROR(cluster.create_table(make(
       kAppByTime, {"hour"}, {"start", "apid"},
-      "application runs by start hour (Fig 2 top)")));
+      "application runs by each hour they run (Fig 2 top)")));
   HPCLA_RETURN_IF_ERROR(cluster.create_table(make(
       kAppByUser, {"user"}, {"start", "apid"},
       "application runs by user (Fig 2 bottom)")));

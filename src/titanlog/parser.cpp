@@ -129,6 +129,9 @@ Result<JobRecord> LogParser::parse_job(std::string_view payload) const {
   if (job.end < job.start) {
     return invalid_argument("apsched record with end < start");
   }
+  if (!job.span_ok()) {
+    return invalid_argument("apsched record runs longer than a week");
+  }
   return job;
 }
 

@@ -42,6 +42,11 @@ struct EventRecord {
   friend bool operator==(const EventRecord&, const EventRecord&) = default;
 };
 
+/// Longest [start, end) a job may claim: a week, well above the
+/// generator's 48 h cap. Every hour a job runs costs rows in the
+/// hour-keyed application tables, so a longer claim is rejected.
+inline constexpr std::int64_t kMaxJobSpanSeconds = 7 * 24 * 3600;
+
 /// A parsed application run (one row of the application tables).
 struct JobRecord {
   std::int64_t apid = 0;       ///< ALPS application id
@@ -55,6 +60,14 @@ struct JobRecord {
 
   [[nodiscard]] bool failed() const noexcept { return exit_code != 0; }
   [[nodiscard]] std::int64_t duration() const noexcept { return end - start; }
+  /// start <= end <= start + kMaxJobSpanSeconds, without signed overflow.
+  [[nodiscard]] bool span_ok() const noexcept {
+    if (end < start) return false;
+    // With end >= start the unsigned difference is the exact span.
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(end) - static_cast<std::uint64_t>(start);
+    return span <= static_cast<std::uint64_t>(kMaxJobSpanSeconds);
+  }
 
   [[nodiscard]] Json to_json() const;
   static Result<JobRecord> from_json(const Json& j);

@@ -356,20 +356,68 @@ TEST(RawLogViewTest, EqualsFetchEventsReversedAndCut) {
 
 // -------------------------------------------------------------------- jobs
 
+// application_by_time holds each job in every hour it runs, so a window
+// reads only its own hours: the answer is the ground-truth overlap set, in
+// (start, apid) order, each job once.
 TEST(FetchJobsTest, OverlapSemantics) {
   auto& f = shared_fixture();
-  Context ctx;
-  ctx.window = TimeRange{kT0 + 3600, kT0 + 7200};
-  auto jobs = fetch_jobs(f.engine, f.cluster, ctx);
-  std::set<std::int64_t> expected;
+  // A location that a job running through several hours touches.
+  const titanlog::JobRecord* long_job = nullptr;
   for (const auto& j : f.logs.jobs) {
-    if (j.end > ctx.window.begin && j.start < ctx.window.end) {
-      expected.insert(j.apid);
+    if (hour_bucket(j.end - 1) - hour_bucket(j.start) >= 2) {
+      long_job = &j;
+      break;
     }
   }
-  std::set<std::int64_t> got;
-  for (const auto& j : jobs) got.insert(j.apid);
-  EXPECT_EQ(got, expected);
+  ASSERT_NE(long_job, nullptr);
+  topo::Coord cabinet = topo::coord_of(long_job->nodes.front());
+  cabinet.cage = cabinet.slot = cabinet.node = -1;
+  const auto cabinet_nodes = topo::titan().nodes_in(cabinet);
+  const std::set<topo::NodeId> in_cabinet(cabinet_nodes.begin(),
+                                          cabinet_nodes.end());
+
+  const std::vector<TimeRange> windows = {
+      {kT0 + 3600, kT0 + 7200},                // a whole hour
+      {kT0 + 5400 + 17, kT0 + 6000},           // inside one hour
+      {kT0 - 3600, kT0 + 5 * 3600},            // 6 h, past both ends
+      {kT0 - 10 * 3600, kT0},                  // before every job
+      {kT0 + 4 * 3600, kT0 + 6 * 3600 + 5}};   // after every job
+  std::size_t non_empty = 0;
+  for (const auto& window : windows) {
+    for (const bool located : {false, true}) {
+      Context ctx;
+      ctx.window = window;
+      if (located) ctx.location = cabinet;
+      std::vector<titanlog::JobRecord> want;
+      for (const auto& j : f.logs.jobs) {
+        if (j.end <= window.begin || j.start >= window.end) continue;
+        if (located && std::none_of(j.nodes.begin(), j.nodes.end(),
+                                    [&](topo::NodeId n) {
+                                      return in_cabinet.contains(n);
+                                    })) {
+          continue;
+        }
+        want.push_back(j);
+      }
+      std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+        return std::pair(a.start, a.apid) < std::pair(b.start, b.apid);
+      });
+      const auto got = fetch_jobs(f.engine, f.cluster, ctx);
+      EXPECT_EQ(got, want) << ctx.to_json().dump();
+      if (!want.empty()) ++non_empty;
+    }
+  }
+  EXPECT_GE(non_empty, 6u);  // every window that holds jobs, both ways
+
+  // The multi-hour job comes back once from a window over all its hours.
+  Context all;
+  all.window = TimeRange{kT0 - 3600, kT0 + 5 * 3600};
+  const auto jobs = fetch_jobs(f.engine, f.cluster, all);
+  EXPECT_EQ(std::count_if(jobs.begin(), jobs.end(),
+                          [&](const titanlog::JobRecord& j) {
+                            return j.apid == long_job->apid;
+                          }),
+            1);
 }
 
 TEST(FetchJobsTest, UserRestrictionUsesUserTable) {
@@ -409,6 +457,32 @@ TEST(AppsRunningAtTest, SnapshotMatchesGroundTruth) {
   for (const auto& j : running) got.insert(j.apid);
   EXPECT_EQ(got, expected);
   EXPECT_FALSE(got.empty());
+}
+
+TEST(AppsRunningAtTest, FindsAJobThatStartedMoreThanTwoDaysBefore) {
+  Cluster cluster(LoadedCluster::make_opts());
+  sparklite::Engine engine(sparklite::EngineOptions{.workers = 2});
+  ASSERT_TRUE(model::create_data_model(cluster).is_ok());
+  titanlog::JobRecord marathon;
+  marathon.apid = 9000001;
+  marathon.app_name = "CESM";
+  marathon.user = "usr7";
+  marathon.start = kT0 + 1234;
+  marathon.end = marathon.start + 60 * 3600;
+  marathon.nodes = {300, 301, 302, 303};
+  titanlog::JobRecord brief = marathon;
+  brief.apid = 9000002;
+  brief.end = brief.start + 600;
+  BatchIngestor ingestor(cluster, engine);
+  const auto report = ingestor.ingest_records({}, {marathon, brief});
+  ASSERT_EQ(report.write_failures, 0u);
+  ASSERT_EQ(report.app_rows, 2u);
+
+  const auto running =
+      apps_running_at(engine, cluster, marathon.start + 55 * 3600);
+  ASSERT_EQ(running.size(), 1u);
+  EXPECT_EQ(running.front(), marathon);
+  EXPECT_TRUE(apps_running_at(engine, cluster, marathon.end).empty());
 }
 
 // ---------------------------------------------------------------- synopsis

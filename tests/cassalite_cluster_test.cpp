@@ -489,6 +489,191 @@ TEST(ClusterPagingTest, EmptyPartition) {
   EXPECT_FALSE(page->next.has_value());
 }
 
+// ---------------------------------------------------------- limited reads
+
+// Three replicas of "pk" that disagree, each over several storage runs
+// (512-byte memtables): kKeys rows written at ALL; then, with the first
+// replica down until its hints expire, every third key overwritten and
+// kExtra newer keys added; then, with the second replica down the same way,
+// every fifth key overwritten again.
+constexpr std::int64_t kKeys = 150;
+constexpr std::int64_t kExtra = 10;
+
+struct DivergentCluster {
+  SimClock clock;
+  Cluster c{options()};
+  std::vector<NodeIndex> reps;
+
+  DivergentCluster() {
+    c.set_clock(&clock);
+    reps = c.replicas_of("pk");
+    for (std::int64_t i = 0; i < kKeys; ++i) {
+      HPCLA_CHECK(
+          c.insert("t", "pk", event_row(i, 0, "v1"), Consistency::kAll).is_ok());
+    }
+    miss_writes(reps[0], [](std::int64_t i) {
+      return i >= kKeys || i % 3 == 0;
+    }, "v2");
+    miss_writes(reps[1], [](std::int64_t i) { return i % 5 == 0; }, "v3");
+  }
+
+  // Overwrites the keys `pick` selects while `down` is dead, and lets its
+  // hints expire before it comes back.
+  template <typename Pick>
+  void miss_writes(NodeIndex down, Pick pick, const std::string& msg) {
+    c.kill_node(down);
+    for (std::int64_t i = 0; i < kKeys + kExtra; ++i) {
+      if (!pick(i)) continue;
+      HPCLA_CHECK(c.insert("t", "pk", event_row(i, 0, msg),
+                           Consistency::kQuorum).is_ok());
+    }
+    clock.advance_ms(100);
+    HPCLA_CHECK(c.revive_node(down) == 0);
+  }
+
+  static ClusterOptions options() {
+    ClusterOptions o = small_cluster();
+    o.hint_ttl_ms = 50;
+    o.storage.memtable_flush_bytes = 512;
+    o.storage.compaction_threshold = 4;
+    return o;
+  }
+};
+
+ReadQuery pk_query(const ClusteringSlice& slice = {}) {
+  ReadQuery q;
+  q.table = "t";
+  q.partition_key = "pk";
+  q.slice = slice;
+  return q;
+}
+
+TEST(LimitedSelectTest, EqualsTheUnlimitedSelectCut) {
+  {
+    DivergentCluster d;
+    for (const NodeIndex r : d.reps) {
+      EXPECT_GE(d.c.engine(r).metrics().memtable_flushes, 10u);
+      EXPECT_GE(d.c.engine(r).metrics().compactions, 1u);
+    }
+    // The replicas really differ.
+    std::set<std::uint64_t> digests;
+    for (const NodeIndex r : d.reps) {
+      digests.insert(rows_digest(d.c.engine(r).read(pk_query()).rows));
+    }
+    EXPECT_EQ(digests.size(), 3u);
+  }
+  ClusteringSlice middle;
+  middle.lower = ClusteringKey::of({Value(20)});
+  middle.upper = ClusteringKey::of({Value(153)});
+  std::uint64_t all_mismatches = 0;
+  for (const auto& slice : {ClusteringSlice{}, middle}) {
+    for (const Consistency cl :
+         {Consistency::kOne, Consistency::kQuorum, Consistency::kAll}) {
+      for (const bool reverse : {false, true}) {
+        // Every read below runs on a fresh copy: read repair changes the
+        // replicas it reads.
+        ReadQuery q = pk_query(slice);
+        q.reverse = reverse;
+        DivergentCluster reference;
+        const auto whole = reference.c.select(q, cl);
+        ASSERT_TRUE(whole.is_ok());
+        const std::size_t n = whole->rows.size();
+        ASSERT_GT(n, 100u);
+        for (const std::size_t limit :
+             {std::size_t{1}, std::size_t{7}, std::size_t{100}, n - 1, n,
+              n + 1}) {
+          std::vector<Row> want = whole->rows;
+          want.resize(std::min(limit, n));
+          DivergentCluster d;
+          q.limit = limit;
+          const auto got = d.c.select(q, cl);
+          ASSERT_TRUE(got.is_ok());
+          const std::string where =
+              std::string(consistency_name(cl)) + " limit " +
+              std::to_string(limit) + (reverse ? " reverse" : "") +
+              (slice.lower ? " middle" : "");
+          EXPECT_EQ(got->rows, want) << where;
+          EXPECT_EQ(got->truncated, n > limit) << where;
+          if (cl == Consistency::kAll) {
+            all_mismatches += d.c.metrics().digest_mismatches;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(all_mismatches, 0u);  // the merge path ran, not only digests
+}
+
+TEST(LimitedSelectTest, PageWalksReproduceTheUnlimitedRead) {
+  for (const Consistency cl :
+       {Consistency::kOne, Consistency::kQuorum, Consistency::kAll}) {
+    DivergentCluster reference;
+    const auto whole = reference.c.select(pk_query(), cl);
+    ASSERT_TRUE(whole.is_ok());
+    ASSERT_GE(whole->rows.size(), static_cast<std::size_t>(kKeys));
+    for (const std::size_t page_size : {1u, 7u, 500u}) {
+      DivergentCluster d;
+      std::vector<Row> walked;
+      std::optional<ClusteringKey> token;
+      std::size_t pages = 0;
+      do {
+        const auto page = d.c.select_page(pk_query(), page_size, token, cl);
+        ASSERT_TRUE(page.is_ok());
+        walked.insert(walked.end(), page->rows.begin(), page->rows.end());
+        token = page->next;
+        ASSERT_LE(++pages, whole->rows.size() + 1) << "paging did not end";
+      } while (token);
+      EXPECT_EQ(walked, whole->rows)
+          << consistency_name(cl) << " page size " << page_size;
+      EXPECT_EQ(pages, (whole->rows.size() + page_size - 1) / page_size);
+    }
+  }
+}
+
+TEST(LimitedSelectTest, DigestsAndRepairCoverOnlyTheRowsReturned) {
+  SimClock clock;
+  ClusterOptions o = small_cluster();
+  o.hint_ttl_ms = 50;
+  Cluster c(o);
+  c.set_clock(&clock);
+  for (std::int64_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        c.insert("t", "pk", event_row(i, 0, "v"), Consistency::kAll).is_ok());
+  }
+  const auto reps = c.replicas_of("pk");
+  c.kill_node(reps[0]);
+  for (std::int64_t i = 20; i < 30; ++i) {
+    ASSERT_TRUE(
+        c.insert("t", "pk", event_row(i, 0, "v"), Consistency::kQuorum).is_ok());
+  }
+  clock.advance_ms(100);
+  ASSERT_EQ(c.revive_node(reps[0]), 0u);  // reps[0] never hears of 20..29
+
+  // The oldest 10 rows agree on every replica: no mismatch, no repair.
+  ReadQuery q = pk_query();
+  q.limit = 10;
+  auto oldest = c.select(q, Consistency::kAll);
+  ASSERT_TRUE(oldest.is_ok());
+  ASSERT_EQ(oldest->rows.size(), 10u);
+  EXPECT_EQ(oldest->rows.back().key.parts[0].as_int(), 9);
+  EXPECT_TRUE(oldest->truncated);
+  EXPECT_EQ(c.metrics().digest_mismatches, 0u);
+  EXPECT_EQ(c.metrics().read_repairs, 0u);
+  EXPECT_EQ(c.engine(reps[0]).read(pk_query()).rows.size(), 20u);
+
+  // The newest 10 differ: the read repairs exactly those rows.
+  q.reverse = true;
+  auto newest = c.select(q, Consistency::kAll);
+  ASSERT_TRUE(newest.is_ok());
+  ASSERT_EQ(newest->rows.size(), 10u);
+  EXPECT_EQ(newest->rows.front().key.parts[0].as_int(), 29);
+  EXPECT_EQ(newest->rows.back().key.parts[0].as_int(), 20);
+  EXPECT_TRUE(newest->truncated);
+  EXPECT_EQ(c.metrics().digest_mismatches, 1u);
+  EXPECT_EQ(c.metrics().read_repairs, 1u);
+  EXPECT_EQ(c.engine(reps[0]).read(pk_query()).rows.size(), 30u);
+}
+
 // -------------------------------------------------------------- resilience
 
 TEST(ResilienceTest, HintQueueIsBoundedPerNodeOldestDroppedFirst) {

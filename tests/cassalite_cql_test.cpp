@@ -165,6 +165,71 @@ TEST(CqlExecTest, OrderDescWithLimitIsNewestFirst) {
   EXPECT_EQ(r->rows.as_array()[1]["ts"].as_int(), kT0 + 8);
 }
 
+// LIMIT reaches the replicas unless a residual filter on the first
+// clustering column ("=", ">", "<=" over the (ts, seq) keys) follows the
+// read; either way the answer is the unlimited answer cut. Three rows share
+// each ts, one row has no clustering key, and 256-byte memtables spread the
+// partition over many runs.
+TEST(CqlExecTest, LimitEqualsTheUnlimitedAnswerCut) {
+  ClusterOptions o = CqlFixture::opts();
+  o.storage.memtable_flush_bytes = 256;
+  o.storage.compaction_threshold = 4;
+  Cluster cluster(o);
+  ASSERT_TRUE(model::create_data_model(cluster).is_ok());
+  for (int i = 0; i < 60; ++i) {
+    titanlog::EventRecord e;
+    e.ts = kT0 + i / 3;
+    e.seq = i % 3;
+    e.type = EventType::kMachineCheck;
+    e.node = 100 + i;
+    e.message = "bank " + std::to_string(i);
+    ASSERT_TRUE(cluster.insert(std::string(model::kEventByTime),
+                               model::event_time_key(kHour0, e.type),
+                               model::event_time_row(e)).is_ok());
+  }
+  // A row with no clustering parts sorts first; no range admits it.
+  Row keyless;
+  keyless.set("message", Value(std::string("no key")));
+  ASSERT_TRUE(cluster.insert(std::string(model::kEventByTime),
+                             model::event_time_key(kHour0,
+                                                   EventType::kMachineCheck),
+                             keyless).is_ok());
+  EXPECT_GE(cluster.engine(0).metrics().memtable_flushes +
+                cluster.engine(1).metrics().memtable_flushes +
+                cluster.engine(2).metrics().memtable_flushes,
+            10u);
+  const std::string base = "SELECT * FROM event_by_time WHERE hour = " +
+                           std::to_string(kHour0) + " AND type = 'MCE'";
+  const std::string t7 = std::to_string(kT0 + 7);
+  const std::string t13 = std::to_string(kT0 + 13);
+  for (const std::string& where :
+       {std::string(), " AND ts = " + t7, " AND ts > " + t7,
+        " AND ts <= " + t13, " AND ts > " + t7 + " AND ts <= " + t13,
+        " AND ts >= " + t7, " AND ts < " + t13,
+        " AND ts >= " + t7 + " AND ts < " + t13}) {
+    for (const std::string order : {"", " ORDER BY ts DESC"}) {
+      const auto whole = execute_cql(cluster, base + where + order);
+      ASSERT_TRUE(whole.is_ok()) << where << order;
+      const auto& all_rows = whole->rows.as_array();
+      ASSERT_FALSE(all_rows.empty()) << where << order;
+      for (const std::size_t limit :
+           {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{7},
+            all_rows.size() - 1, all_rows.size(), all_rows.size() + 1}) {
+        if (limit == 0) continue;
+        const auto cut = execute_cql(
+            cluster, base + where + order + " LIMIT " + std::to_string(limit));
+        ASSERT_TRUE(cut.is_ok()) << where << order << " LIMIT " << limit;
+        const std::size_t n = std::min(limit, all_rows.size());
+        ASSERT_EQ(cut->count, static_cast<std::int64_t>(n))
+            << where << order << " LIMIT " << limit;
+        Json want = Json::array();
+        for (std::size_t i = 0; i < n; ++i) want.push_back(all_rows[i]);
+        EXPECT_EQ(cut->rows, want) << where << order << " LIMIT " << limit;
+      }
+    }
+  }
+}
+
 TEST(CqlExecTest, ClusteringEquality) {
   CqlFixture f;
   auto r = f.run("SELECT * FROM event_by_time WHERE hour = " +

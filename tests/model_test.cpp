@@ -2,6 +2,8 @@
 // ingestion with same-second coalescing.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <tuple>
@@ -239,7 +241,9 @@ TEST(BatchIngestTest, JobsLandInAllFourAppTables) {
     ASSERT_TRUE(decoded.is_ok()) << table;
     EXPECT_EQ(decoded->apid, 5000001) << table;
   };
+  // application_by_time holds the job in both hours it runs.
   check(kAppByTime, app_time_key(kHour0));
+  check(kAppByTime, app_time_key(kHour0 + 1));
   check(kAppByUser, app_user_key("usr1"));
   check(kAppByApp, app_app_key("LAMMPS"));
 
@@ -252,6 +256,52 @@ TEST(BatchIngestTest, JobsLandInAllFourAppTables) {
     ASSERT_TRUE(r.is_ok());
     EXPECT_EQ(r->rows.size(), 1u) << "hour " << h;
   }
+}
+
+TEST(BatchIngestTest, JobLongerThanTheSpanBoundWritesNothing) {
+  Fixture f;
+  BatchIngestor ingestor(f.cluster, f.engine);
+  const auto started = std::chrono::steady_clock::now();
+  // A whole-machine job claiming to run until the end of time would fan
+  // out over ~2.6e15 hours x 19,200 nodes; one just past a week, over 169.
+  std::vector<topo::NodeId> machine(topo::TitanGeometry::kTotalNodes);
+  for (std::size_t n = 0; n < machine.size(); ++n) {
+    machine[n] = static_cast<topo::NodeId>(n);
+  }
+  const std::vector<std::pair<UnixSeconds, UnixSeconds>> spans = {
+      {0, INT64_MAX},
+      {INT64_MIN, INT64_MAX},
+      {kT0, kT0 + titanlog::kMaxJobSpanSeconds + 1},
+      {kT0, kT0 - 1}};
+  for (const auto& [start, end] : spans) {
+    auto report = ingestor.ingest_records({}, {job(7, start, end, machine)});
+    EXPECT_EQ(report.write_failures, 1u) << start << " " << end;
+    EXPECT_EQ(report.app_rows, 0u);
+    EXPECT_EQ(report.app_location_rows, 0u);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(5));
+  const std::vector<std::pair<std::string_view, std::string>> partitions = {
+      {kAppByTime, app_time_key(0)},
+      {kAppByTime, app_time_key(kHour0)},
+      {kAppByUser, app_user_key("usr1")},
+      {kAppByApp, app_app_key("LAMMPS")},
+      {kAppByLocation, app_location_key(kHour0, 0)}};
+  for (const auto& [table, key] : partitions) {
+    ReadQuery q;
+    q.table = std::string(table);
+    q.partition_key = key;
+    auto r = f.cluster.select(q);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_TRUE(r->rows.empty()) << table << " " << key;
+  }
+
+  // A job of exactly the bound is written whole: 168 hours.
+  auto report = ingestor.ingest_records(
+      {}, {job(8, kT0, kT0 + titanlog::kMaxJobSpanSeconds, {50})});
+  EXPECT_EQ(report.write_failures, 0u);
+  EXPECT_EQ(report.app_rows, 1u);
+  EXPECT_EQ(report.app_location_rows,
+            static_cast<std::uint64_t>(titanlog::kMaxJobSpanSeconds / 3600));
 }
 
 TEST(BatchIngestTest, FullPipelineFromRawLines) {

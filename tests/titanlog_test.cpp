@@ -358,6 +358,24 @@ TEST(ParserTest, IncompleteJobLineRejected) {
       parser.parse_line("2017-03-14 05:21:06 apsched: apid=5 user=u app=a "
                         "nids=0 start=100 end=50 exit=0")
           .is_ok());
+  // Longer than kMaxJobSpanSeconds (a week), with and without overflow.
+  EXPECT_FALSE(
+      parser.parse_line("2017-03-14 05:21:06 apsched: apid=5 user=u app=a "
+                        "nids=0-19199 start=0 end=9223372036854775807 exit=0")
+          .is_ok());
+  EXPECT_FALSE(
+      parser.parse_line("2017-03-14 05:21:06 apsched: apid=5 user=u app=a "
+                        "nids=0 start=-9223372036854775808 "
+                        "end=9223372036854775807 exit=0")
+          .is_ok());
+  EXPECT_FALSE(
+      parser.parse_line("2017-03-14 05:21:06 apsched: apid=5 user=u app=a "
+                        "nids=0 start=100 end=604901 exit=0")
+          .is_ok());
+  EXPECT_TRUE(
+      parser.parse_line("2017-03-14 05:21:06 apsched: apid=5 user=u app=a "
+                        "nids=0 start=100 end=604900 exit=0")
+          .is_ok());
 }
 
 TEST(ParserTest, Xid48ClassifiedAsGpuMemoryNotGpuFailure) {
